@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -93,24 +94,19 @@ def resolve_train_options(args) -> dict:
     return merged
 
 
+# option names that differ from the TrainConfig field they set
+_RENAMED = {"k": "K", "l": "L", "epochs": "max_epochs"}
+
+
 def build_train_config(opts: dict) -> TrainConfig:
-    return TrainConfig(
-        optimizer=opts.get("optimizer", "NBPO_SS"),
-        eta=opts.get("eta", 0.01),
-        lambda_theta=opts.get("lambda_theta", 0.0),
-        lambda_phi=opts.get("lambda_phi", 0.0),
-        rho=opts.get("rho", 1),
-        batch_size=opts.get("batch_size", 1000),
-        K=opts.get("k", 10),
-        L=opts.get("l", 0),
-        max_epochs=opts.get("epochs", 200),
-        seed=opts.get("seed", 0),
-        balance_positives=opts.get("balance_positives", False),
-    )
+    """TrainConfig from resolved options; options left out keep TrainConfig's defaults."""
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    kwargs = {_RENAMED.get(key, key): val for key, val in opts.items()}
+    return TrainConfig(**{key: val for key, val in kwargs.items() if key in fields})
 
 
 def build_spec(args, opts: dict) -> experiment.ExperimentSpec:
-    method = opts.get("optimizer", "NBPO_SS")
+    config = build_train_config(opts)
     return experiment.ExperimentSpec(
         output_dir=args.out,
         dataset=args.dataset,
@@ -118,8 +114,8 @@ def build_spec(args, opts: dict) -> experiment.ExperimentSpec:
         split_dir=getattr(args, "split_dir", None),
         kcore=getattr(args, "kcore", 1),
         split_seed=getattr(args, "split_seed", 0),
-        method=method,
-        config=build_train_config(opts),
+        method=config.optimizer.value,
+        config=config,
         repeat_count=opts.get("repeats", 1),
         exclude_train=opts.get("exclude_train", True),
     )

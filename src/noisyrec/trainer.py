@@ -122,32 +122,6 @@ def _check_samplable(train: InteractionTable, u: int):
         raise ValueError(f"user {u} has no unvoted items to sample")
 
 
-def sample_negatives(train: InteractionTable, u: int, rho: int, rng) -> list:
-    """rho independent uniform draws from user u's unvoted items."""
-    _check_samplable(train, u)
-    voted = set(train.per_user[u])
-    out = []
-    while len(out) < rho:
-        j = int(rng.integers(0, train.N))
-        if j not in voted:
-            out.append(j)
-    return out
-
-
-def sample_negatives_wbpr(train: InteractionTable, u: int, rho: int, popularity, rng) -> list:
-    """rho draws with probability proportional to item popularity among unvoted items."""
-    _check_samplable(train, u)
-    p = np.asarray(popularity, dtype=float).copy()
-    p[train.per_user[u]] = 0.0
-    total = p.sum()
-    if total <= 0:
-        # all unvoted items have zero popularity: fall back to uniform
-        voted = set(train.per_user[u])
-        candidates = np.array([j for j in range(train.N) if j not in voted])
-        return rng.choice(candidates, size=rho, replace=True).tolist()
-    return rng.choice(train.N, size=rho, replace=True, p=p / total).tolist()
-
-
 class _BatchSampler:
     """Vectorized negative sampling against an encoded train-positive set."""
 
@@ -161,6 +135,10 @@ class _BatchSampler:
         if popularity is not None:
             p = np.asarray(popularity, dtype=float)
             self.pop = p / p.sum()
+            # users who voted every item of nonzero popularity draw uniformly
+            # (rejection keeps it uniform over their unvoted items)
+            popular = self.codes[p[self.codes % self.N] > 0] // self.N
+            self.flat = np.bincount(popular, minlength=train.M) >= np.count_nonzero(p)
         else:
             self.pop = None
 
@@ -170,48 +148,64 @@ class _BatchSampler:
         idx = np.minimum(idx, len(self.codes) - 1)
         return self.codes[idx] == q
 
-    def _draw(self, count, rng):
+    def _draw(self, users, rng):
         if self.pop is None:
-            return rng.integers(0, self.N, size=count)
-        return rng.choice(self.N, size=count, replace=True, p=self.pop)
+            return rng.integers(0, self.N, size=len(users))
+        out = rng.choice(self.N, size=len(users), replace=True, p=self.pop)
+        flat = self.flat[users]
+        if flat.any():
+            out[flat] = rng.integers(0, self.N, size=int(flat.sum()))
+        return out
 
     def sample(self, users: np.ndarray, rho: int, rng) -> np.ndarray:
+        """rho negatives per user, grouped: uniform, or popularity-weighted, over unvoted items."""
         for u in np.unique(users):
             _check_samplable(self.train, int(u))
         neg_u = np.repeat(users, rho)
-        neg_j = self._draw(len(neg_u), rng)
+        neg_j = self._draw(neg_u, rng)
         bad = self._is_positive(neg_u, neg_j)
         while bad.any():
-            neg_j[bad] = self._draw(int(bad.sum()), rng)
+            neg_j[bad] = self._draw(neg_u[bad], rng)
             bad[bad] = self._is_positive(neg_u[bad], neg_j[bad])
         return neg_j
 
 
 # ---------------------------------------------------------------------------
-# per-variant gradient coefficients (scalar multipliers of the embedding rows)
+# per-variant point-wise terms: objective value and gradient coefficients
+# (the scalar multipliers of the embedding rows)
 
 
-def _point_coefficients(optimizer: Optimizer, r_pos, g_pos, r_neg, g_neg):
-    """(c_theta_pos, c_phi_pos, c_theta_neg, c_phi_neg) for point-wise variants."""
+def _point_terms(optimizer: Optimizer, r_pos, g_pos, r_neg, g_neg):
+    """(value, c_theta_pos, c_phi_pos, c_theta_neg, c_phi_neg) for point-wise variants.
+
+    value is the unregularized objective of the terms, as a float.
+    """
     if optimizer == Optimizer.BPO:
-        return sigmoid(-r_pos), None, -sigmoid(r_neg), None
+        value = float(np.sum(log_sigmoid(r_pos)) + np.sum(log_sigmoid(-r_neg)))
+        return value, sigmoid(-r_pos), None, -sigmoid(r_neg), None
     if optimizer == Optimizer.NBPO_O:
-        ct_pos = sigmoid(-r_pos)
-        cp_pos = -sigmoid(g_pos)
-        mix = sigmoid(-r_neg) + sigmoid(g_neg) * sigmoid(r_neg)
-        ct_neg = -sigmoid(r_neg) * sigmoid(-r_neg) * sigmoid(-g_neg) / mix
-        cp_neg = sigmoid(g_neg) * sigmoid(-g_neg) * sigmoid(r_neg) / mix
-        return ct_pos, cp_pos, ct_neg, cp_neg
-    if optimizer == Optimizer.NBPO_S:
-        ct_pos = sigmoid(-g_pos) * sigmoid(r_pos) * sigmoid(-r_pos)
-        cp_pos = -sigmoid(g_pos) * sigmoid(-g_pos) * sigmoid(r_pos)
-        ct_neg = -sigmoid(r_neg) * sigmoid(-r_neg) * sigmoid(-g_neg)
-        cp_neg = sigmoid(g_neg) * sigmoid(-g_neg) * sigmoid(r_neg)
-        return ct_pos, cp_pos, ct_neg, cp_neg
-    if optimizer == Optimizer.NBPO_SS:
-        ct_pos, cp_pos = surrogate_coefficients_vec(np.ones_like(r_pos), r_pos, g_pos)
-        ct_neg, cp_neg = surrogate_coefficients_vec(np.zeros_like(r_neg), r_neg, g_neg)
-        return ct_pos, cp_pos, ct_neg, cp_neg
+        # the negative term's mixture sigma(-r) + sigma(g) sigma(r) in log space:
+        # both parts underflow together at saturated logits
+        ls_r, ls_mr = log_sigmoid(r_neg), log_sigmoid(-r_neg)
+        ls_g, ls_mg = log_sigmoid(g_neg), log_sigmoid(-g_neg)
+        log_mix = np.logaddexp(ls_mr, ls_g + ls_r)
+        value = float(np.sum(log_sigmoid(-g_pos) + log_sigmoid(r_pos)) + np.sum(log_mix))
+        ct_neg = -np.exp(ls_r + ls_mr + ls_mg - log_mix)
+        cp_neg = np.exp(ls_g + ls_mg + ls_r - log_mix)
+        return value, sigmoid(-r_pos), -sigmoid(g_pos), ct_neg, cp_neg
+    if optimizer in (Optimizer.NBPO_S, Optimizer.NBPO_SS):
+        # surrogate likelihood: raw probabilities summed, not their logs
+        pos = np.sum(sigmoid(-g_pos) * sigmoid(r_pos))
+        neg = np.sum(sigmoid(-r_neg) + sigmoid(g_neg) * sigmoid(r_neg))
+        if optimizer == Optimizer.NBPO_S:
+            ct_pos = sigmoid(-g_pos) * sigmoid(r_pos) * sigmoid(-r_pos)
+            cp_pos = -sigmoid(g_pos) * sigmoid(-g_pos) * sigmoid(r_pos)
+            ct_neg = -sigmoid(r_neg) * sigmoid(-r_neg) * sigmoid(-g_neg)
+            cp_neg = sigmoid(g_neg) * sigmoid(-g_neg) * sigmoid(r_neg)
+        else:
+            ct_pos, cp_pos = surrogate_coefficients_vec(np.ones_like(r_pos), r_pos, g_pos)
+            ct_neg, cp_neg = surrogate_coefficients_vec(np.zeros_like(r_neg), r_neg, g_neg)
+        return float(pos + neg), ct_pos, cp_pos, ct_neg, cp_neg
     raise ValueError(f"{optimizer} is not a point-wise optimizer")
 
 
@@ -232,8 +226,11 @@ def _apply_sparse(mat, rows, grad_rows, eta, lam, touched):
     mat[touched] += eta * acc
 
 
-def point_step(theta: PreferenceParams, phi: Optional[NoiseParams], batch: Batch, config: TrainConfig):
-    """One SGD ascent step for BPO / NBPO variants; mutates theta (and phi) in place."""
+def point_step(theta: PreferenceParams, phi: Optional[NoiseParams], batch: Batch, config: TrainConfig) -> float:
+    """One SGD ascent step for BPO / NBPO variants; mutates theta (and phi) in place.
+
+    Returns the unregularized objective of the batch at the pre-step parameters.
+    """
     U, V = theta.U, theta.V
     has_phi = phi is not None and phi.L > 0
     r_pos = _dots(U, batch.pos_u, V, batch.pos_i)
@@ -245,7 +242,7 @@ def point_step(theta: PreferenceParams, phi: Optional[NoiseParams], batch: Batch
         g_pos = np.zeros_like(r_pos)
         g_neg = np.zeros_like(r_neg)
 
-    ct_pos, cp_pos, ct_neg, cp_neg = _point_coefficients(
+    value, ct_pos, cp_pos, ct_neg, cp_neg = _point_terms(
         config.optimizer, r_pos, g_pos, r_neg, g_neg
     )
     if config.balance_positives:
@@ -272,11 +269,14 @@ def point_step(theta: PreferenceParams, phi: Optional[NoiseParams], batch: Batch
     if has_phi and cp_pos is not None:
         _apply_sparse(phi.P, (batch.pos_u, batch.neg_u), (dP_pos, dP_neg), config.eta, config.lambda_phi, touched_u)
         _apply_sparse(phi.Q, (batch.pos_i, batch.neg_j), (dQ_pos, dQ_neg), config.eta, config.lambda_phi, touched_i)
-    return theta, phi
+    return value
 
 
-def pairwise_step(theta: PreferenceParams, batch: Batch, config: TrainConfig):
-    """One BPR-style step: ascend ln sigma(r_ui - r_uj) per (positive, negative) pair."""
+def pairwise_step(theta: PreferenceParams, batch: Batch, config: TrainConfig) -> float:
+    """One BPR-style step: ascend ln sigma(r_ui - r_uj) per (positive, negative) pair.
+
+    Returns the batch objective, the sum of ln sigma(r_ui - r_uj), at the pre-step parameters.
+    """
     U, V = theta.U, theta.V
     rho = batch.rho
     pu = np.repeat(batch.pos_u, rho)
@@ -293,30 +293,7 @@ def pairwise_step(theta: PreferenceParams, batch: Batch, config: TrainConfig):
 
     _apply_sparse(U, (pu,), (dU,), config.eta, config.lambda_theta, touched_u)
     _apply_sparse(V, (pi, batch.neg_j), (dVi, dVj), config.eta, config.lambda_theta, touched_i)
-    return theta
-
-
-# spec-facing step aliases ---------------------------------------------------
-
-
-def bpr_step(theta, batch, config):
-    return pairwise_step(theta, batch, config)
-
-
-def bpo_step(theta, batch, config):
-    return point_step(theta, None, batch, config)[0]
-
-
-def nbpo_step_ss(theta, phi, batch, config):
-    return point_step(theta, phi, batch, config)
-
-
-def nbpo_step_o(theta, phi, batch, config):
-    return point_step(theta, phi, batch, config)
-
-
-def nbpo_step_s(theta, phi, batch, config):
-    return point_step(theta, phi, batch, config)
+    return float(np.sum(log_sigmoid(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +316,7 @@ def dense_gradient(optimizer: Optimizer, terms, theta: PreferenceParams, phi: No
     pos = labels == 1
     ct = np.empty_like(r)
     cp = np.empty_like(r)
-    ct_pos, cp_pos, ct_neg, cp_neg = _point_coefficients(optimizer, r[pos], g[pos], r[~pos], g[~pos])
+    _, ct_pos, cp_pos, ct_neg, cp_neg = _point_terms(optimizer, r[pos], g[pos], r[~pos], g[~pos])
     ct[pos], ct[~pos] = ct_pos, ct_neg
     if cp_pos is not None:
         cp[pos], cp[~pos] = cp_pos, cp_neg
@@ -366,23 +343,6 @@ def dense_gradient(optimizer: Optimizer, terms, theta: PreferenceParams, phi: No
 
 # ---------------------------------------------------------------------------
 # training loop
-
-
-def _batch_objective(optimizer: Optimizer, r_pos, g_pos, r_neg, g_neg) -> float:
-    """Unregularized objective value of the sampled terms (monitoring only)."""
-    if optimizer in PAIRWISE:
-        rho = len(r_neg) // max(len(r_pos), 1)
-        return float(np.sum(log_sigmoid(np.repeat(r_pos, rho) - r_neg)))
-    if optimizer == Optimizer.BPO:
-        return float(np.sum(log_sigmoid(r_pos)) + np.sum(log_sigmoid(-r_neg)))
-    if optimizer == Optimizer.NBPO_O:
-        pos = np.sum(log_sigmoid(-g_pos) + log_sigmoid(r_pos))
-        neg = np.sum(np.log(sigmoid(-r_neg) + sigmoid(g_neg) * sigmoid(r_neg)))
-        return float(pos + neg)
-    # surrogate variants: raw probabilities
-    pos = np.sum(sigmoid(-g_pos) * sigmoid(r_pos))
-    neg = np.sum(sigmoid(-r_neg) + sigmoid(g_neg) * sigmoid(r_neg))
-    return float(pos + neg)
 
 
 def train(
@@ -435,21 +395,10 @@ def train(
             pos_i = chunk[:, 1]
             neg_j = sampler.sample(pos_u, config.rho, rng)
             batch = Batch(pos_u, pos_i, np.repeat(pos_u, config.rho), neg_j)
-
-            r_pos = _dots(theta.U, batch.pos_u, theta.V, batch.pos_i)
-            r_neg = _dots(theta.U, batch.neg_u, theta.V, batch.neg_j)
-            if phi.L > 0:
-                g_pos = _dots(phi.P, batch.pos_u, phi.Q, batch.pos_i)
-                g_neg = _dots(phi.P, batch.neg_u, phi.Q, batch.neg_j)
-            else:
-                g_pos = np.zeros_like(r_pos)
-                g_neg = np.zeros_like(r_neg)
-            objective += _batch_objective(config.optimizer, r_pos, g_pos, r_neg, g_neg)
-
             if config.optimizer in PAIRWISE:
-                pairwise_step(theta, batch, config)
+                objective += pairwise_step(theta, batch, config)
             else:
-                point_step(theta, phi, batch, config)
+                objective += point_step(theta, phi, batch, config)
 
         report = evaluator(theta)
         history.epochs.append(EpochRecord(epoch=epoch, objective=objective, report=report))

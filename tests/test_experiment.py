@@ -275,6 +275,10 @@ def test_cli_config_file_and_flag_override(tmp_path):
     assert config.eta == 0.05 and config.rho == 2 and config.K == 3
 
 
+def test_cli_train_config_defaults_come_from_train_config():
+    assert cli.build_train_config({}) == TrainConfig()
+
+
 def test_cli_unknown_config_key(tmp_path):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("etaa = 0.1\n")

@@ -3,24 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from noisyrec.corpus import InteractionTable, split
+from noisyrec.corpus import InteractionTable, SplitDataset, split
 from noisyrec.model import PreferenceParams
-from noisyrec.objective import sigmoid
+from noisyrec.objective import (
+    bpo_loglik,
+    log_sigmoid,
+    nbpo_loglik,
+    nbpo_surrogate,
+    sigmoid,
+)
 from noisyrec.trainer import (
+    PAIRWISE,
     Batch,
     Optimizer,
     TrainConfig,
-    bpo_step,
-    bpr_step,
-    nbpo_step_ss,
+    _BatchSampler,
+    _point_terms,
     pairwise_step,
     point_step,
-    sample_negatives,
-    sample_negatives_wbpr,
     train,
 )
 
-from conftest import random_params
+from conftest import make_terms, random_params
 
 
 def make_train_table():
@@ -36,26 +40,26 @@ def make_train_table():
 def test_sample_negatives_single_candidate():
     table = InteractionTable(1, 5, [(0, 0), (0, 1), (0, 2), (0, 3)])
     rng = np.random.default_rng(0)
-    assert sample_negatives(table, 0, 3, rng) == [4, 4, 4]
+    assert _BatchSampler(table).sample(np.array([0]), 3, rng).tolist() == [4, 4, 4]
 
 
 def test_sample_negatives_no_positives_never_errors():
     table = InteractionTable(2, 4, [(1, 0)])
     rng = np.random.default_rng(1)
-    out = sample_negatives(table, 0, 2, rng)
+    out = _BatchSampler(table).sample(np.array([0]), 2, rng)
     assert len(out) == 2 and all(0 <= j < 4 for j in out)
 
 
 def test_sample_negatives_degenerate_user():
     table = InteractionTable(1, 3, [(0, 0), (0, 1), (0, 2)])
     with pytest.raises(ValueError):
-        sample_negatives(table, 0, 1, np.random.default_rng(0))
+        _BatchSampler(table).sample(np.array([0]), 1, np.random.default_rng(0))
 
 
 def test_sample_negatives_uniformity():
     table = InteractionTable(1, 100, [(0, j) for j in range(10)])
     rng = np.random.default_rng(2)
-    draws = sample_negatives(table, 0, 100_000, rng)
+    draws = _BatchSampler(table).sample(np.array([0]), 100_000, rng)
     counts = np.bincount(draws, minlength=100)
     assert counts[:10].sum() == 0
     n, p = 100_000, 1 / 90
@@ -67,7 +71,7 @@ def test_wbpr_popularity_ratio():
     table = InteractionTable(1, 3, [(0, 0)])
     popularity = np.array([5.0, 1.0, 3.0])
     rng = np.random.default_rng(3)
-    draws = np.array(sample_negatives_wbpr(table, 0, 100_000, popularity, rng))
+    draws = _BatchSampler(table, popularity).sample(np.array([0]), 100_000, rng)
     counts = np.bincount(draws, minlength=3)
     assert counts[0] == 0
     assert counts[1] / counts[2] == pytest.approx(1 / 3, rel=0.05)
@@ -77,7 +81,7 @@ def test_wbpr_zero_popularity_fallback():
     table = InteractionTable(1, 4, [(0, 0)])
     popularity = np.array([9.0, 0.0, 0.0, 0.0])
     rng = np.random.default_rng(4)
-    draws = sample_negatives_wbpr(table, 0, 3000, popularity, rng)
+    draws = _BatchSampler(table, popularity).sample(np.array([0]), 3000, rng)
     counts = np.bincount(draws, minlength=4)
     assert counts[0] == 0 and all(c > 0 for c in counts[1:])
 
@@ -85,7 +89,8 @@ def test_wbpr_zero_popularity_fallback():
 def test_wbpr_single_candidate():
     table = InteractionTable(1, 2, [(0, 0)])
     popularity = np.array([1.0, 1.0])
-    assert sample_negatives_wbpr(table, 0, 4, popularity, np.random.default_rng(5)) == [1, 1, 1, 1]
+    draws = _BatchSampler(table, popularity).sample(np.array([0]), 4, np.random.default_rng(5))
+    assert draws.tolist() == [1, 1, 1, 1]
 
 
 # --------------------------------------------------------------------------
@@ -104,7 +109,7 @@ def test_bpr_step_hand_example():
         pos_u=np.array([0]), pos_i=np.array([0]),
         neg_u=np.array([0]), neg_j=np.array([1]),
     )
-    bpr_step(theta, batch, config(optimizer=Optimizer.BPR, eta=1.0))
+    pairwise_step(theta, batch, config(optimizer=Optimizer.BPR, eta=1.0))
     c = sigmoid(-1.0)  # 0.26894...
     assert theta.U[0, 0] == pytest.approx(1.0 + c, abs=1e-12)
     assert theta.V[0, 0] == pytest.approx(1.0 + c, abs=1e-12)
@@ -119,7 +124,7 @@ def test_bpo_step_coefficients():
         neg_u=np.array([0]), neg_j=np.array([1]),
     )
     cfg = config(optimizer=Optimizer.BPO, eta=1.0, K=2)
-    bpo_step(theta, batch, cfg)
+    point_step(theta, None, batch, cfg)
     # pos coeff +0.5, neg coeff -0.5 at score 0
     assert np.allclose(theta.U[0], 0.5 * np.array([1.0, 2.0]) - 0.5 * np.array([3.0, 4.0]))
 
@@ -131,7 +136,7 @@ def test_bpo_step_saturated_negative():
         neg_u=np.array([0]), neg_j=np.array([0]),
     )
     before = theta.U.copy()
-    bpo_step(theta, batch, config(optimizer=Optimizer.BPO, eta=1.0))
+    point_step(theta, None, batch, config(optimizer=Optimizer.BPO, eta=1.0))
     # score is -30: sigma(score) ~ 0, negative already settled
     assert np.allclose(theta.U, before, atol=1e-10)
 
@@ -146,7 +151,7 @@ def test_nbpo_ss_step_coefficients():
     )
     eta = 0.1
     cfg = config(optimizer=Optimizer.NBPO_SS, eta=eta, K=2, L=2)
-    nbpo_step_ss(theta, phi, batch, cfg)
+    point_step(theta, phi, batch, cfg)
 
     def expected_coeffs(label, r, g):
         if label == 1:
@@ -174,7 +179,7 @@ def test_nbpo_ss_l0_matches_degenerate_closed_form():
         neg_j = rng.integers(0, 5, size=4)
         batch = Batch(pos_u=pos_u, pos_i=pos_i, neg_u=pos_u, neg_j=neg_j)
         eta = 0.05
-        nbpo_step_ss(theta, phi, batch, config(eta=eta, K=3, L=0))
+        point_step(theta, phi, batch, config(eta=eta, K=3, L=0))
 
         dU = np.zeros_like(U0)
         dV = np.zeros_like(V0)
@@ -241,12 +246,66 @@ def test_balance_positives_scales_positive_update():
     eta = 0.1
     cfg1 = config(optimizer=Optimizer.BPO, eta=eta, rho=2, K=2)
     cfg2 = config(optimizer=Optimizer.BPO, eta=eta, rho=2, K=2, balance_positives=True)
-    bpo_step(theta1, batch, cfg1)
-    bpo_step(theta2, batch, cfg2)
+    point_step(theta1, None, batch, cfg1)
+    point_step(theta2, None, batch, cfg2)
     # rho=2 doubles the positive-term contribution, negatives are unchanged
     ct_pos = sigmoid(-(U0[0] @ V0[0]))
     assert np.allclose(theta2.U[0] - theta1.U[0], eta * ct_pos * V0[0], atol=1e-12)
     assert np.allclose(theta2.V[1], theta1.V[1], atol=1e-15)
+
+
+def test_step_objective_matches_scalar_references():
+    rng = np.random.default_rng(10)
+    theta, phi = random_params(rng, 4, 5, 3, 2)
+    pos = [(0, 0), (1, 1), (2, 2)]
+    neg = [(0, 3), (1, 4), (2, 3)]
+    batch = Batch(
+        pos_u=np.array([0, 1, 2]), pos_i=np.array([0, 1, 2]),
+        neg_u=np.array([0, 1, 2]), neg_j=np.array([3, 4, 3]),
+    )
+    terms = make_terms(theta, phi, pos, neg)
+    references = {
+        Optimizer.BPO: bpo_loglik(terms),
+        Optimizer.NBPO_O: nbpo_loglik(terms),
+        Optimizer.NBPO_S: nbpo_surrogate(terms),
+        Optimizer.NBPO_SS: nbpo_surrogate(terms),
+    }
+    for optimizer, expected in references.items():
+        value = point_step(theta.copy(), phi.copy(), batch, config(optimizer=optimizer, K=3, L=2))
+        assert value == pytest.approx(expected, rel=1e-12), optimizer
+
+    x = [theta.U[u] @ theta.V[i] - theta.U[u] @ theta.V[j] for (u, i), (_, j) in zip(pos, neg)]
+    value = pairwise_step(theta.copy(), batch, config(optimizer=Optimizer.BPR, K=3))
+    assert value == pytest.approx(sum(log_sigmoid(float(v)) for v in x), rel=1e-12)
+
+
+def test_point_terms_finite_at_saturated_logits():
+    grid = np.array([-1e3, -800.0, -40.0, -1.0, 0.0, 1.0, 40.0, 800.0, 1e3])
+    r, g = (a.ravel() for a in np.meshgrid(grid, grid))
+    for optimizer in Optimizer:
+        if optimizer in PAIRWISE:
+            continue
+        value, *coefficients = _point_terms(optimizer, r, g, r, g)
+        assert np.isfinite(value), optimizer
+        for c in coefficients:
+            assert c is None or np.all(np.isfinite(c)), optimizer
+
+    # NBPO_O negative at r=800, g=-800: both mixture parts are ~exp(-800)
+    _, _, _, ct_neg, cp_neg = _point_terms(
+        Optimizer.NBPO_O, np.zeros(0), np.zeros(0), np.array([800.0]), np.array([-800.0])
+    )
+    assert ct_neg[0] == pytest.approx(-0.5) and cp_neg[0] == pytest.approx(0.5)
+
+    # pairwise: r_ui - r_uj reaches +-2e3
+    for pos_i, neg_j in ((0, 1), (1, 0)):
+        theta = PreferenceParams(U=np.array([[1.0]]), V=np.array([[1e3], [-1e3]]))
+        batch = Batch(
+            pos_u=np.array([0]), pos_i=np.array([pos_i]),
+            neg_u=np.array([0]), neg_j=np.array([neg_j]),
+        )
+        value = pairwise_step(theta, batch, config(optimizer=Optimizer.BPR, eta=0.1))
+        assert np.isfinite(value)
+        assert np.all(np.isfinite(theta.U)) and np.all(np.isfinite(theta.V))
 
 
 # --------------------------------------------------------------------------
@@ -289,6 +348,22 @@ def test_train_all_optimizers_run():
         hist = train(ds, cfg)
         assert len(hist.epochs) == 2
         assert np.isfinite(hist.epochs[-1].objective)
+
+
+def test_wbpr_train_returns_when_user_voted_every_popular_item():
+    # item 2 has no train positive, so every item WBPR can draw is voted by user 0
+    train_table = InteractionTable(2, 3, [(0, 0), (0, 1), (1, 0)])
+    ds = SplitDataset(
+        train=train_table,
+        validation=InteractionTable(2, 3, [(1, 1)]),
+        test=InteractionTable(2, 3, [(0, 2)]),
+        seed=0,
+    )
+    cfg = TrainConfig(optimizer=Optimizer.WBPR, eta=0.1, rho=2, batch_size=2,
+                      K=2, max_epochs=2, seed=0)
+    hist = train(ds, cfg)
+    assert len(hist.epochs) == 2
+    assert np.isfinite(hist.epochs[-1].objective)
 
 
 def test_train_patience_stops_early():
