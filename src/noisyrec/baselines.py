@@ -40,8 +40,7 @@ def fit_itemknn(train: InteractionTable, S: int = 50) -> ItemKnnModel:
         raise ValueError("S must be >= 1")
     # binary user-item indicator as a dense matrix; fine at desk scale
     mat = np.zeros((train.M, train.N))
-    for u, i in train.positives:
-        mat[u, i] = 1.0
+    mat.flat[train.codes] = 1.0  # codes u*N + i are the row-major flat indices
     co = mat.T @ mat  # co-occurrence counts
     deg = np.diag(co).copy()
     norm = np.sqrt(np.outer(deg, deg))

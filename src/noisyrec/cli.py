@@ -71,22 +71,10 @@ def resolve_train_options(args) -> dict:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
             merged[key] = _CONFIG_KEYS[key](raw)
-    overrides = {
-        "optimizer": args.optimizer,
-        "eta": args.eta,
-        "lambda_theta": args.lambda_theta,
-        "lambda_phi": args.lambda_phi,
-        "rho": args.rho,
-        "batch_size": args.batch_size,
-        "k": args.k,
-        "l": args.l,
-        "epochs": args.epochs,
-        "seed": args.seed,
-        "repeats": args.repeats,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            merged[key] = val
+    for key in ("optimizer", "eta", "lambda_theta", "lambda_phi", "rho", "batch_size",
+                "k", "l", "epochs", "seed", "repeats"):
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
     if args.balance_positives:
         merged["balance_positives"] = True
     if args.no_exclude_train:
@@ -154,6 +142,8 @@ def cmd_grid(args):
 
 
 def cmd_eval(args):
+    if args.method == "checkpoint" and args.checkpoint is None:
+        raise ValueError("eval --method checkpoint requires --checkpoint")
     dataset = corpus.load_split(args.split_dir)
     heldout = dataset.test if args.split == "test" else dataset.validation
     if args.method == "ITEMPOP":
@@ -223,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint or baseline on a split")
     p.add_argument("--split-dir", required=True, dest="split_dir")
     p.add_argument("--split", default="test", choices=["validation", "test"])
-    p.add_argument("--method", default="checkpoint",
-                   help="checkpoint | ITEMPOP | ITEMKNN")
+    p.add_argument("--method", default="checkpoint", choices=["checkpoint", "ITEMPOP", "ITEMKNN"])
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--neighbors", type=int, default=50)
     p.add_argument("--no-exclude-train", action="store_true")

@@ -17,9 +17,6 @@ class MetricReport:
     ndcg: Dict[int, float]
     n_users_evaluated: int
 
-    def as_row(self, ks=(2, 5, 10, 20)):
-        return [self.f1[k] for k in ks] + [self.ndcg[k] for k in ks]
-
 
 def f1_at_k(recommended: Sequence[int], relevant, k: int) -> float:
     """Harmonic mean of precision (hits/k) and recall (hits/|relevant|)."""

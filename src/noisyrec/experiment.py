@@ -6,6 +6,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
@@ -75,7 +77,14 @@ def prepare(spec: ExperimentSpec) -> corpus.SplitDataset:
     if spec.kcore > 1:
         table = corpus.kcore_filter(table, spec.kcore)
     dataset = corpus.split(table, seed=spec.split_seed)
-    corpus.save_split(dataset, cached)
+    # write beside the entry and rename it into place: no interrupted write is ever trusted
+    os.makedirs(cache_dir, exist_ok=True)
+    tmp = tempfile.mkdtemp(prefix=f".{key}-", dir=cache_dir)
+    try:
+        corpus.save_split(dataset, tmp)
+        os.replace(tmp, cached)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
     return dataset
 
 

@@ -117,28 +117,20 @@ class TrainHistory:
 # negative sampling
 
 
-def _check_samplable(train: InteractionTable, u: int):
-    if len(train.per_user[u]) >= train.N:
-        raise ValueError(f"user {u} has no unvoted items to sample")
-
-
 class _BatchSampler:
-    """Vectorized negative sampling against an encoded train-positive set."""
+    """Vectorized negative sampling against the train table's sorted codes."""
 
     def __init__(self, train: InteractionTable, popularity=None):
-        self.train = train
         self.N = train.N
-        codes = np.fromiter(
-            (u * train.N + i for u, i in train.positives), dtype=np.int64, count=len(train.positives)
-        )
-        self.codes = np.sort(codes)
+        self.codes = train.codes
+        self.full = train.user_degrees() >= train.N  # users with no unvoted item
         if popularity is not None:
             p = np.asarray(popularity, dtype=float)
             self.pop = p / p.sum()
             # users who voted every item of nonzero popularity draw uniformly
             # (rejection keeps it uniform over their unvoted items)
-            popular = self.codes[p[self.codes % self.N] > 0] // self.N
-            self.flat = np.bincount(popular, minlength=train.M) >= np.count_nonzero(p)
+            popular_votes = np.bincount(train.pairs[:, 0], p[train.indices] > 0, minlength=train.M)
+            self.flat = popular_votes >= np.count_nonzero(p)
         else:
             self.pop = None
 
@@ -159,8 +151,9 @@ class _BatchSampler:
 
     def sample(self, users: np.ndarray, rho: int, rng) -> np.ndarray:
         """rho negatives per user, grouped: uniform, or popularity-weighted, over unvoted items."""
-        for u in np.unique(users):
-            _check_samplable(self.train, int(u))
+        full = self.full[users]
+        if full.any():
+            raise ValueError(f"user {users[full][0]} has no unvoted items to sample")
         neg_u = np.repeat(users, rho)
         neg_j = self._draw(neg_u, rng)
         bad = self._is_positive(neg_u, neg_j)
@@ -380,7 +373,7 @@ def train(
                 ks=eval_ks, exclude_train=exclude_train,
             )
 
-    positives = np.array(train_table.sorted_pairs(), dtype=np.int64)
+    positives = train_table.pairs
     history = TrainHistory(config=config)
     best_f1 = -1.0
     stale = 0

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from noisyrec.corpus import (
     InteractionTable,
     ParseError,
     RawInteraction,
+    SplitDataset,
     binarize_and_index,
     kcore_filter,
     load_amazon_reviews,
@@ -122,12 +125,28 @@ def test_kcore_total_removal():
     assert (out.M, out.N, len(out)) == (0, 0, 0)
 
 
+def kcore_reference(table, k):
+    """Set-loop k-core with dense reindexing, the reference for kcore_filter."""
+    pairs = set(table.positives)
+    while True:
+        users = [u for u, _ in pairs]
+        items = [i for _, i in pairs]
+        kept = {(u, i) for u, i in pairs if users.count(u) >= k and items.count(i) >= k}
+        if kept == pairs:
+            break
+        pairs = kept
+    umap = {u: n for n, u in enumerate(sorted({u for u, _ in pairs}))}
+    imap = {i: n for n, i in enumerate(sorted({i for _, i in pairs}))}
+    return InteractionTable(len(umap), len(imap), [(umap[u], imap[i]) for u, i in pairs])
+
+
 def test_kcore_min_degree_and_idempotence():
     rng = np.random.default_rng(2)
     for _ in range(30):
         table = random_table(rng, density=0.4)
         k = int(rng.integers(1, 5))
         out = kcore_filter(table, k)
+        assert out == kcore_reference(table, k)
         if len(out):
             assert out.user_degrees().min() >= k
             assert out.item_degrees().min() >= k
@@ -202,3 +221,69 @@ def test_split_file_format(tmp_path):
     for line in lines[1:]:
         u, i = line.split("\t")
         int(u), int(i)
+
+
+def test_split_golden_bytes(tmp_path):
+    # digest of the split files written by the set/tuple implementation this
+    # CSR core replaced: pins the shuffle permutation across versions
+    table = kcore_filter(random_table(np.random.default_rng(21), M=40, N=30, density=0.3), 7)
+    assert (table.M, table.N, len(table)) == (32, 27, 287)
+    save_split(split(table, seed=7), tmp_path / "ds")
+    digest = hashlib.sha256()
+    for name in ("train", "valid", "test"):
+        digest.update((tmp_path / "ds" / f"{name}.txt").read_bytes())
+    assert digest.hexdigest() == "a321759a4a8b41feca70cb3c70ed92380fb86326098a21c7960cf60450ce4bb7"
+
+
+def test_table_views_match_brute_force():
+    rng = np.random.default_rng(8)
+    for case in range(60):
+        M, N = (0, 0) if case == 0 else (int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+        n = int(rng.integers(0, 3 * M * N + 1)) if M else 0
+        raw = np.column_stack((rng.integers(0, M, n), rng.integers(0, N, n))) if n else []
+        pairs = raw if case % 2 else [(u, i) for u, i in raw]  # np.int64 array or tuple list
+        table = InteractionTable(M, N, pairs)
+        want = {(int(u), int(i)) for u, i in raw}
+        assert len(table) == len(want)
+        assert table.positives == want
+        assert all(type(u) is int and type(i) is int for u, i in table.positives)
+        assert table.per_user == [sorted(i for v, i in want if v == u) for u in range(M)]
+        assert table.user_degrees().tolist() == [sum(v == u for v, _ in want) for u in range(M)]
+        assert table.item_degrees().tolist() == [sum(j == i for _, j in want) for i in range(N)]
+        assert table.pairs.tolist() == [list(p) for p in sorted(want)]
+        assert np.all(np.diff(table.codes) > 0)
+        assert table == InteractionTable(M, N, sorted(want))
+        assert table != InteractionTable(M + 1, N, sorted(want))
+
+
+def test_table_rejects_out_of_range_pair():
+    with pytest.raises(ValueError, match=r"\(2, 0\)"):
+        InteractionTable(2, 2, [(0, 0), (2, 0)])
+
+
+def test_load_split_names_file_and_line(tmp_path):
+    empty = InteractionTable(3, 3, [])
+    save_split(SplitDataset(InteractionTable(3, 3, [(0, 0), (1, 2)]), empty, empty, seed=4), tmp_path)
+    train = tmp_path / "train.txt"
+    for text, lineno in (
+        ("3 3 4\n0\t0\n1 2\n", 3),  # a space instead of a tab
+        ("3 3 4\n0\t0\t1\n1\t2\n", 2),  # a third column on one row
+        ("3 3 4\n0\t0\t1\n1\t2\t0\n", 2),  # a third column on every row
+        ("3 3 4\n0\tx\n", 2),
+        ("3 3\n0\t0\n", 1),  # header without the seed
+        ("", 1),
+    ):
+        train.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            load_split(tmp_path)
+        assert (exc.value.path, exc.value.lineno) == (str(train), lineno)
+        assert f"train.txt:{lineno}:" in str(exc.value)
+
+
+def test_load_split_empty_table_without_warning(tmp_path):
+    empty = InteractionTable(2, 2, [])
+    ds = SplitDataset(InteractionTable(2, 2, [(0, 0), (1, 1)]), empty, empty, seed=5)
+    save_split(ds, tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_split(tmp_path) == ds

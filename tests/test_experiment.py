@@ -1,10 +1,11 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from noisyrec import cli, experiment
+from noisyrec import cli, corpus, experiment
 from noisyrec.corpus import InteractionTable, save_split, split
 from noisyrec.experiment import ExperimentSpec, GridSpec, fine_values, grid_search, run
 from noisyrec.trainer import TrainConfig
@@ -133,6 +134,29 @@ def test_prepare_caching_byte_identical(tmp_path):
     assert ds1.train == ds2.train
 
 
+def test_prepare_recovers_from_interrupted_write(tmp_path, monkeypatch):
+    raw = write_movielens_raw(tmp_path)
+    spec = ExperimentSpec(output_dir=str(tmp_path / "out"), dataset="movielens",
+                          raw_path=raw, kcore=2, split_seed=3, repeat_count=1)
+    clean = experiment.prepare(replace(spec, cache_dir=str(tmp_path / "clean")))
+
+    def interrupted(dataset, directory):  # dies after a partial train.txt
+        os.makedirs(directory, exist_ok=True)
+        with open(os.path.join(directory, "train.txt"), "w", encoding="utf-8") as fh:
+            fh.write(f"{dataset.train.M} {dataset.train.N} {dataset.seed}\n0\t0\n")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(corpus, "save_split", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        experiment.prepare(spec)
+    monkeypatch.undo()
+    assert experiment.prepare(spec) == clean
+    cache_root = tmp_path / "out" / "cache"
+    (cache_key,) = os.listdir(cache_root)
+    assert experiment.prepare(spec) == clean  # now read back from the cache
+    assert sorted(os.listdir(cache_root / cache_key)) == ["test.txt", "train.txt", "valid.txt"]
+
+
 def test_fine_values_paper_example():
     assert fine_values(0.01) == [0.002, 0.005, 0.01, 0.02, 0.05]
     assert fine_values(0.1) == [0.02, 0.05, 0.1, 0.2, 0.5]
@@ -252,6 +276,16 @@ def test_cli_prep_train_eval_plots(tmp_path, capsys):
                      "--out", plots_dir]) == 0
     assert os.path.exists(os.path.join(plots_dir, "rho_sweep.csv"))
     assert os.path.exists(os.path.join(plots_dir, "metric_vs_k.csv"))
+
+
+def test_cli_eval_rejects_bad_method_arguments(tmp_path, capsys):
+    split_dir = write_tiny_split(tmp_path)
+    assert cli.main(["eval", "--split-dir", split_dir]) == 2
+    assert "--checkpoint" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--split-dir", split_dir, "--method", "itempop"])
+    assert exc.value.code == 2
+    assert "ITEMPOP" in capsys.readouterr().err
 
 
 def test_cli_config_file_and_flag_override(tmp_path):
