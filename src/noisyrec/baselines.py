@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable
 
 import numpy as np
 
 from noisyrec.corpus import InteractionTable
+from noisyrec.model import topk_from_scores
 
 
 @dataclass
@@ -27,55 +28,45 @@ def itempop_scorer(model: PopularityModel) -> Callable:
 
 @dataclass
 class ItemKnnModel:
-    """Top-S cosine neighbors per item over binary user vectors."""
+    """Cosine similarities over binary user vectors, each row cut to its top S."""
 
-    neighbors: Dict[int, List[Tuple[int, float]]]
-    S: int
-    n_items: int
+    sim: np.ndarray  # N x N; sim[i, j] > 0 only for the S nearest neighbours j of item i
+
+
+_FIT_ROWS = 512  # users per co-occurrence block, and items per truncation block
 
 
 def fit_itemknn(train: InteractionTable, S: int = 50) -> ItemKnnModel:
-    """Cosine similarity |users(i) & users(j)| / sqrt(|users(i)| |users(j)|)."""
+    """Cosine similarity |users(i) & users(j)| / sqrt(|users(i)| |users(j)|).
+
+    Each item keeps its S most similar other items, ties broken by ascending
+    index; every other entry of its row is zero.
+    """
     if S < 1:
         raise ValueError("S must be >= 1")
-    # binary user-item indicator as a dense matrix; fine at desk scale
-    mat = np.zeros((train.M, train.N))
-    mat.flat[train.codes] = 1.0  # codes u*N + i are the row-major flat indices
-    co = mat.T @ mat  # co-occurrence counts
-    deg = np.diag(co).copy()
-    norm = np.sqrt(np.outer(deg, deg))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sim = np.where(norm > 0, co / norm, 0.0)
+    sim = np.zeros((train.N, train.N))
+    for lo in range(0, train.M, _FIT_ROWS):
+        block = train.dense_rows(lo, min(lo + _FIT_ROWS, train.M)).astype(float)
+        sim += block.T @ block  # co-occurrence counts: whole numbers, so the block sum is exact
+    deg = np.diag(sim).copy()
     np.fill_diagonal(sim, 0.0)
-    neighbors = {}
-    for i in range(train.N):
-        row = sim[i]
-        nz = np.flatnonzero(row > 0)
-        if nz.size > S:
-            top = nz[np.argsort(-row[nz], kind="stable")[:S]]
-        else:
-            top = nz
-        neighbors[i] = [(int(j), float(row[j])) for j in top]
-    return ItemKnnModel(neighbors=neighbors, S=S, n_items=train.N)
+    for lo in range(0, train.N, _FIT_ROWS):  # cosine, then the row's top S, in place
+        rows = sim[lo : lo + _FIT_ROWS]
+        norm = np.sqrt(np.outer(deg[lo : lo + _FIT_ROWS], deg))
+        np.divide(rows, norm, out=rows, where=norm > 0)
+        keep = np.zeros((len(rows), train.N + 1), dtype=bool)  # the kernel's -1 pads land in the spare column
+        np.put_along_axis(keep, topk_from_scores(rows, S, rows <= 0), True, axis=1)
+        rows[~keep[:, :-1]] = 0.0
+    return ItemKnnModel(sim=sim)
 
 
 def knn_score(model: ItemKnnModel, train: InteractionTable, u: int, i: int) -> float:
     """Sum of similarities between item i and user u's train positives."""
-    voted = set(train.per_user[u])
-    return sum(s for j, s in model.neighbors[i] if j in voted)
+    return float(sum(model.sim[i, j] for j in train.per_user[u]))
 
 
 def itemknn_scorer(model: ItemKnnModel, train: InteractionTable) -> Callable:
-    # dense neighbor matrix makes per-user scoring a single matvec
-    sim = np.zeros((model.n_items, model.n_items))
-    for i, nbrs in model.neighbors.items():
-        for j, s in nbrs:
-            sim[i, j] = s
-
     def score_user(u: int) -> np.ndarray:
-        voted = train.per_user[u]
-        if not voted:
-            return np.zeros(model.n_items)
-        return sim[:, voted].sum(axis=1)
+        return model.sim[:, train.per_user[u]].sum(axis=1)  # zeros for a user with no positives
 
     return score_user

@@ -56,12 +56,11 @@ class IdMap:
     def N(self) -> int:
         return len(self.item_keys)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, IdMap)
-            and self.user_keys == other.user_keys
-            and self.item_keys == other.item_keys
-        )
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """np.unique of non-negative ints by sort-and-mask (~60x faster on numpy 2.4)."""
+    values = np.sort(values)
+    return values[np.diff(values, prepend=-1) > 0]
 
 
 class InteractionTable:
@@ -82,10 +81,15 @@ class InteractionTable:
         bad = (u < 0) | (u >= self.M) | (i < 0) | (i >= self.N)
         if bad.any():
             raise ValueError(f"pair ({u[bad][0]}, {i[bad][0]}) out of range for {self.M}x{self.N}")
-        codes = np.sort(u * self.N + i)  # sort-and-mask: numpy 2.4 np.unique is ~60x slower on 400k codes
-        self.codes = codes[np.diff(codes, prepend=-1) > 0]
+        self.codes = sorted_unique(u * self.N + i)
         self.indptr = np.searchsorted(self.codes, np.arange(self.M + 1) * self.N)
         self.indices = self.codes - np.repeat(np.arange(self.M) * self.N, np.diff(self.indptr))
+
+    def dense_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Users lo..hi-1 as a dense (hi - lo, N) boolean block."""
+        block = np.zeros((hi - lo, self.N), dtype=bool)
+        block.flat[self.codes[self.indptr[lo] : self.indptr[hi]] - lo * self.N] = True
+        return block
 
     @cached_property
     def pairs(self) -> np.ndarray:
@@ -269,7 +273,7 @@ def _read_table(path):
     except ValueError:
         raise ParseError(path, 1, f"expected header 'M N seed', got {header.rstrip()!r}") from None
     # numpy parses the rows (it warns on an empty body); when it or the table
-    # rejects them, the scan names the first malformed line
+    # rejects them, the scan names the first malformed or out-of-range line
     try:
         rows = []
         if body.strip():
@@ -279,6 +283,9 @@ def _read_table(path):
         for lineno, line in enumerate(body.splitlines(), start=2):
             if not _ROW.fullmatch(line):
                 raise ParseError(path, lineno, f"expected two tab-separated ints, got {line!r}") from None
+            u, i = (int(f) for f in line.split("\t"))
+            if not (0 <= u < M and 0 <= i < N):
+                raise ParseError(path, lineno, f"pair ({u}, {i}) out of range for {M}x{N}") from None
         raise
 
 

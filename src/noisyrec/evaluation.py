@@ -54,6 +54,9 @@ def mf_scorer(theta: PreferenceParams) -> Callable:
     return score_user
 
 
+_BLOCK_CELLS = 1 << 17  # score cells ranked at once; bounds the block temporaries
+
+
 def evaluate(
     scorer: Callable,
     heldout: InteractionTable,
@@ -65,26 +68,29 @@ def evaluate(
 
     Users with no held-out positives are skipped entirely (not counted as zero).
     Train positives are excluded from ranking candidates unless disabled.
+    Users are ranked in row blocks; each user's metrics equal f1_at_k/ndcg_at_k, summed in user order.
     """
-    kmax = max(ks)
-    f1_sums = {k: 0.0 for k in ks}
-    ndcg_sums = {k: 0.0 for k in ks}
-    n_users = 0
-    for u in range(heldout.M):
-        relevant = heldout.per_user[u]
-        if not relevant:
-            continue
-        scores = np.asarray(scorer(u), dtype=float)
-        excluded = train.per_user[u] if exclude_train else ()
-        topk = topk_from_scores(scores, kmax, excluded)
-        for k in ks:
-            f1_sums[k] += f1_at_k(topk, relevant, k)
-            ndcg_sums[k] += ndcg_at_k(topk, relevant, k)
-        n_users += 1
-    if n_users == 0:
-        return MetricReport({k: 0.0 for k in ks}, {k: 0.0 for k in ks}, 0)
-    return MetricReport(
-        f1={k: f1_sums[k] / n_users for k in ks},
-        ndcg={k: ndcg_sums[k] / n_users for k in ks},
-        n_users_evaluated=n_users,
-    )
+    kmax, cols = max(ks), np.array(ks) - 1
+    disc = np.array([1.0 / np.log2(p + 1) for p in range(1, kmax + 1)])
+    idcg = np.cumsum(disc)  # idcg[n - 1]: ideal DCG with n relevant items
+    rows = max(1, _BLOCK_CELLS // max(heldout.N, 1))
+    f1_sum, ndcg_sum, n_users = np.zeros(len(ks)), np.zeros(len(ks)), 0
+    for lo in range(0, heldout.M, rows):
+        hi = min(lo + rows, heldout.M)
+        relevant = heldout.dense_rows(lo, hi)
+        users = np.flatnonzero(relevant.any(axis=1))
+        relevant = relevant[users]
+        scores = np.array([scorer(lo + u) for u in users.tolist()], dtype=float).reshape(relevant.shape)
+        excluded = train.dense_rows(lo, hi)[users] if exclude_train else np.zeros(scores.shape, bool)
+        top = topk_from_scores(scores, kmax, excluded)
+        hit = (top >= 0) & np.take_along_axis(relevant, top, axis=1)
+        n_hits, n_rel = np.cumsum(hit, axis=1)[:, cols], relevant.sum(axis=1)[:, None]
+        precision, recall = n_hits / (cols + 1), n_hits / n_rel
+        f1 = np.divide(2 * precision * recall, precision + recall, out=np.zeros(n_hits.shape), where=n_hits > 0)
+        ndcg = np.cumsum(np.where(hit, disc, 0.0), axis=1)[:, cols] / idcg[np.minimum(cols, n_rel - 1)]
+        # cumsum adds the users one by one in user order, as a running += would
+        f1_sum = np.cumsum(np.vstack([f1_sum, f1]), axis=0)[-1]
+        ndcg_sum = np.cumsum(np.vstack([ndcg_sum, ndcg]), axis=0)[-1]
+        n_users += len(users)
+    n = max(n_users, 1)  # no users: every metric is 0.0
+    return MetricReport(dict(zip(ks, (f1_sum / n).tolist())), dict(zip(ks, (ndcg_sum / n).tolist())), n_users)

@@ -14,10 +14,6 @@ class PreferenceParams:
     U: np.ndarray  # M x K
     V: np.ndarray  # N x K
 
-    @property
-    def K(self) -> int:
-        return self.U.shape[1]
-
     def copy(self) -> "PreferenceParams":
         return PreferenceParams(self.U.copy(), self.V.copy())
 
@@ -83,14 +79,17 @@ def noise_logit(params: NoiseParams, u: int, i: int) -> float:
     return float(params.P[u] @ params.Q[i])
 
 
-def topk_from_scores(scores: np.ndarray, k: int, excluded=()) -> list:
-    """Top-k indices by (score desc, index asc), skipping excluded indices."""
-    n = scores.shape[0]
-    candidates = np.setdiff1d(np.arange(n), np.fromiter(excluded, dtype=np.int64, count=-1) if excluded else np.empty(0, dtype=np.int64))
-    if candidates.size == 0:
-        return []
-    order = np.lexsort((candidates, -scores[candidates]))
-    return candidates[order[:k]].tolist()
+def topk_from_scores(scores: np.ndarray, k: int, excluded: np.ndarray) -> np.ndarray:
+    """Top-k indices of each row of a (B, N) score block, by (score desc, index asc).
+
+    `excluded` is a (B, N) boolean mask of items never returned. The result is
+    (B, k) int64; a row with fewer than k candidates is padded with -1.
+    """
+    # the mask is the primary key; as +inf on the negated scores it would sort ahead of NaN
+    order = np.lexsort((-scores, excluded), axis=-1)[:, :k]
+    top = np.full((scores.shape[0], k), -1, dtype=np.int64)
+    top[:, : order.shape[1]] = np.where(np.take_along_axis(excluded, order, axis=-1), -1, order)
+    return top
 
 
 def rank_topk(params: PreferenceParams, u: int, k: int, excluded=frozenset()) -> list:
@@ -101,8 +100,9 @@ def rank_topk(params: PreferenceParams, u: int, k: int, excluded=frozenset()) ->
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores = params.U[u] @ params.V.T
-    return topk_from_scores(scores, k, excluded)
+    mask = np.isin(np.arange(params.V.shape[0]), list(excluded))
+    top = topk_from_scores((params.U[u] @ params.V.T)[None], k, mask[None])[0]
+    return top[top >= 0].tolist()
 
 
 def save_checkpoint(path, theta: PreferenceParams, phi: NoiseParams):

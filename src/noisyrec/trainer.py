@@ -8,7 +8,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from noisyrec.corpus import InteractionTable, SplitDataset
+from noisyrec.corpus import InteractionTable, SplitDataset, sorted_unique
 from noisyrec.model import InitSpec, NoiseParams, PreferenceParams, init_params
 from noisyrec.objective import (
     RegSpec,
@@ -53,10 +53,6 @@ class TrainConfig:
             raise ValueError("eta must be positive")
         if self.rho < 1 or self.batch_size < 1:
             raise ValueError("rho and batch_size must be >= 1")
-
-    @property
-    def reg(self) -> RegSpec:
-        return RegSpec(self.lambda_theta, self.lambda_phi)
 
     @property
     def effective_L(self) -> int:
@@ -243,8 +239,8 @@ def point_step(theta: PreferenceParams, phi: Optional[NoiseParams], batch: Batch
         if cp_pos is not None:
             cp_pos = cp_pos * config.rho
 
-    touched_u = np.unique(np.concatenate([batch.pos_u, batch.neg_u]))
-    touched_i = np.unique(np.concatenate([batch.pos_i, batch.neg_j]))
+    touched_u = sorted_unique(np.concatenate([batch.pos_u, batch.neg_u]))
+    touched_i = sorted_unique(np.concatenate([batch.pos_i, batch.neg_j]))
 
     # gradients read pre-step rows; V update uses pre-step U and vice versa
     dU_pos = ct_pos[:, None] * V[batch.pos_i]
@@ -277,8 +273,8 @@ def pairwise_step(theta: PreferenceParams, batch: Batch, config: TrainConfig) ->
     x = _dots(U, pu, V, pi) - _dots(U, batch.neg_u, V, batch.neg_j)
     c = sigmoid(-x)
 
-    touched_u = np.unique(pu)
-    touched_i = np.unique(np.concatenate([pi, batch.neg_j]))
+    touched_u = sorted_unique(pu)
+    touched_i = sorted_unique(np.concatenate([pi, batch.neg_j]))
 
     dU = c[:, None] * (V[pi] - V[batch.neg_j])
     dVi = c[:, None] * U[pu]

@@ -12,13 +12,18 @@ from noisyrec.corpus import InteractionTable
 from noisyrec.model import topk_from_scores
 
 
+def ranking(scores, k):
+    """One unmasked score row through the block kernel, as a list."""
+    return topk_from_scores(scores[None], k, np.zeros((1, len(scores)), dtype=bool))[0].tolist()
+
+
 def test_itempop_counts_and_ranking():
     table = InteractionTable(3, 3, [(0, 0), (1, 0), (2, 0), (0, 1), (1, 2), (2, 2), (0, 2)])
     model = fit_itempop(table)
     assert model.counts.tolist() == [3, 1, 3]
     scorer = itempop_scorer(model)
     # same ranking for every user
-    rankings = [topk_from_scores(scorer(u), 3) for u in range(3)]
+    rankings = [ranking(scorer(u), 3) for u in range(3)]
     assert rankings[0] == rankings[1] == rankings[2] == [0, 2, 1]
 
 
@@ -26,17 +31,17 @@ def test_itempop_sort_example():
     table = InteractionTable(1, 3, [])
     model = fit_itempop(table)
     model.counts = np.array([5.0, 2.0, 9.0])
-    assert topk_from_scores(itempop_scorer(model)(0), 2) == [2, 0]
+    assert ranking(itempop_scorer(model)(0), 2) == [2, 0]
 
 
 def test_itempop_empty_train_tie_rule():
     table = InteractionTable(2, 4, [])
     model = fit_itempop(table)
-    assert topk_from_scores(itempop_scorer(model)(0), 4) == [0, 1, 2, 3]
+    assert ranking(itempop_scorer(model)(0), 4) == [0, 1, 2, 3]
 
 
 def sim_of(model, i, j):
-    return dict(model.neighbors[i]).get(j, 0.0)
+    return model.sim[i, j]
 
 
 def test_itemknn_identical_and_disjoint():
@@ -60,10 +65,38 @@ def test_itemknn_symmetry_property():
     table = InteractionTable(10, 12, list(zip(*np.nonzero(mask))))
     model = fit_itemknn(table, S=12)  # S large enough to avoid truncation
     for i in range(12):
-        for j, s in model.neighbors[i]:
+        for j in np.flatnonzero(model.sim[i]):
+            s = sim_of(model, i, j)
             assert abs(s - sim_of(model, j, i)) <= 1e-12
             assert 0.0 <= s <= 1.0 + 1e-12
             assert j != i
+
+
+def itemknn_sim_reference(table, S):
+    """Dense M x N indicator, cosine over it, then a per-row stable argsort to the top S."""
+    mat = np.zeros((table.M, table.N))
+    for u, i in table.pairs:
+        mat[u, i] = 1.0
+    co = mat.T @ mat
+    deg = np.diag(co).copy()
+    norm = np.sqrt(np.outer(deg, deg))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sim = np.where(norm > 0, co / norm, 0.0)
+    np.fill_diagonal(sim, 0.0)
+    out = np.zeros_like(sim)
+    for i, row in enumerate(sim):
+        nz = np.flatnonzero(row > 0)
+        top = nz[np.argsort(-row[nz], kind="stable")[:S]]
+        out[i, top] = row[top]
+    return out
+
+
+@pytest.mark.parametrize("M, N, S", [(40, 12, 3), (700, 30, 5), (1, 4, 2), (3, 0, 1)])
+def test_itemknn_sim_equals_dense_reference(M, N, S):
+    # binary data ties often at the top-S cut; M = 700 spans two co-occurrence blocks
+    rng = np.random.default_rng(M)
+    table = InteractionTable(M, N, np.argwhere(rng.random((M, N)) < 0.2))
+    assert np.array_equal(fit_itemknn(table, S).sim, itemknn_sim_reference(table, S))
 
 
 def test_itemknn_top_s_truncation():
@@ -71,7 +104,7 @@ def test_itemknn_top_s_truncation():
     mask = rng.random((15, 10)) < 0.5
     table = InteractionTable(15, 10, list(zip(*np.nonzero(mask))))
     model = fit_itemknn(table, S=3)
-    assert all(len(nbrs) <= 3 for nbrs in model.neighbors.values())
+    assert (np.count_nonzero(model.sim, axis=1) <= 3).all()
 
 
 def test_knn_score_examples():

@@ -16,6 +16,7 @@ from noisyrec.corpus import (
     load_movielens,
     load_split,
     save_split,
+    sorted_unique,
     split,
 )
 
@@ -251,9 +252,20 @@ def test_table_views_match_brute_force():
         assert table.user_degrees().tolist() == [sum(v == u for v, _ in want) for u in range(M)]
         assert table.item_degrees().tolist() == [sum(j == i for _, j in want) for i in range(N)]
         assert table.pairs.tolist() == [list(p) for p in sorted(want)]
+        lo = M // 2  # a block starting mid-table
+        assert np.argwhere(table.dense_rows(lo, M)).tolist() == [[u - lo, i] for u, i in sorted(want) if u >= lo]
         assert np.all(np.diff(table.codes) > 0)
         assert table == InteractionTable(M, N, sorted(want))
         assert table != InteractionTable(M + 1, N, sorted(want))
+
+
+def test_sorted_unique_matches_np_unique():
+    rng = np.random.default_rng(9)
+    for dtype in (np.int64, np.int32, np.intp):
+        for n in (0, 1, 7, 500):
+            values = rng.integers(0, 40, n).astype(dtype)
+            got = sorted_unique(values)
+            assert got.dtype == values.dtype and np.array_equal(got, np.unique(values))
 
 
 def test_table_rejects_out_of_range_pair():
@@ -271,6 +283,8 @@ def test_load_split_names_file_and_line(tmp_path):
         ("3 3 4\n0\t0\t1\n1\t2\t0\n", 2),  # a third column on every row
         ("3 3 4\n0\tx\n", 2),
         ("3 3\n0\t0\n", 1),  # header without the seed
+        ("3 3 4\n0\t0\n5\t0\n", 3),  # well-formed, but user 5 is out of range
+        ("3 3 4\n0\t-1\n", 2),
         ("", 1),
     ):
         train.write_text(text)

@@ -1,8 +1,37 @@
 import numpy as np
 import pytest
 
+from noisyrec import evaluation
 from noisyrec.corpus import InteractionTable
-from noisyrec.evaluation import evaluate, f1_at_k, ndcg_at_k
+from noisyrec.evaluation import MetricReport, evaluate, f1_at_k, ndcg_at_k
+from noisyrec.model import topk_from_scores
+
+
+def evaluate_reference(scorer, heldout, train, ks=(2, 5, 10, 20), exclude_train=True):
+    """Per-user ranking (setdiff1d + lexsort) and set-based metrics, summed in user order."""
+    kmax = max(ks)
+    f1_sums = {k: 0.0 for k in ks}
+    ndcg_sums = {k: 0.0 for k in ks}
+    n_users = 0
+    for u in range(heldout.M):
+        relevant = heldout.per_user[u]
+        if not relevant:
+            continue
+        scores = np.asarray(scorer(u), dtype=float)
+        excluded = np.array(train.per_user[u] if exclude_train else [], dtype=np.int64)
+        candidates = np.setdiff1d(np.arange(scores.shape[0]), excluded)
+        topk = candidates[np.lexsort((candidates, -scores[candidates]))[:kmax]].tolist()
+        for k in ks:
+            f1_sums[k] += f1_at_k(topk, relevant, k)
+            ndcg_sums[k] += ndcg_at_k(topk, relevant, k)
+        n_users += 1
+    if n_users == 0:
+        return MetricReport({k: 0.0 for k in ks}, {k: 0.0 for k in ks}, 0)
+    return MetricReport(
+        f1={k: f1_sums[k] / n_users for k in ks},
+        ndcg={k: ndcg_sums[k] / n_users for k in ks},
+        n_users_evaluated=n_users,
+    )
 
 
 def test_f1_examples():
@@ -130,3 +159,47 @@ def test_evaluate_no_eligible_users():
     report = evaluate(lambda u: np.zeros(3), heldout, train)
     assert report.n_users_evaluated == 0
     assert report.f1[2] == 0.0
+
+
+def test_topk_kernel_never_returns_excluded_items():
+    scores = np.array([[np.nan, 1.0, -np.inf, 2.0]])
+    excluded = np.array([[False, True, False, True]])
+    # +inf on the negated score would rank excluded item 1 above NaN item 0
+    assert topk_from_scores(scores, 2, excluded).tolist() == [[2, 0]]
+    assert topk_from_scores(scores, 6, excluded).tolist() == [[2, 0, -1, -1, -1, -1]]
+
+
+def random_case(rng, M, N):
+    """Train and held-out tables plus a tie-heavy score matrix with NaN and +-inf."""
+    train = rng.random((M, N)) < rng.choice([0.0, 0.3, 0.9])  # 0.9: fewer than kmax candidates
+    train[rng.random(M) < 0.15] = True  # users with no candidates at all
+    held = rng.random((M, N)) < 0.25
+    held[rng.random(M) < 0.2] = False  # users with nothing held out
+    scores = rng.integers(-2, 3, size=(M, N)).astype(float)
+    for value in (np.nan, np.inf, -np.inf):
+        scores[rng.random((M, N)) < 0.05] = value
+    return InteractionTable(M, N, np.argwhere(train)), InteractionTable(M, N, np.argwhere(held)), scores
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7, None])
+def test_blocked_evaluate_equals_per_user_reference(monkeypatch, block_rows):
+    rng = np.random.default_rng(block_rows or 0)
+    for trial in range(25):
+        M, N = int(rng.choice([1, 2, 5, 11, 23])), int(rng.integers(1, 30))
+        if block_rows is not None:  # M is often not a multiple of the block rows
+            monkeypatch.setattr(evaluation, "_BLOCK_CELLS", block_rows * N)
+        train, heldout, scores = random_case(rng, M, N)
+        for exclude_train in (True, False):
+            for ks in ((2, 5, 10, 20), (1, 3)):
+                got = evaluate(lambda u: scores[u], heldout, train, ks, exclude_train)
+                want = evaluate_reference(lambda u: scores[u], heldout, train, ks, exclude_train)
+                assert got == want, (trial, M, N, exclude_train, ks)
+
+
+def test_blocked_evaluate_equals_reference_across_default_blocks():
+    M, N = 90, 4000  # 32 rows per block at the default budget: three blocks, the last partial
+    assert evaluation._BLOCK_CELLS // N < M
+    train, heldout, scores = random_case(np.random.default_rng(7), M, N)
+    for exclude_train in (True, False):
+        got = evaluate(lambda u: scores[u], heldout, train, exclude_train=exclude_train)
+        assert got == evaluate_reference(lambda u: scores[u], heldout, train, exclude_train=exclude_train)
