@@ -47,13 +47,14 @@ def fit_itemknn(train: InteractionTable, S: int = 50) -> ItemKnnModel:
     sim = np.zeros((train.N, train.N))
     for lo in range(0, train.M, _FIT_ROWS):
         block = train.dense_rows(lo, min(lo + _FIT_ROWS, train.M)).astype(float)
-        sim += block.T @ block  # co-occurrence counts: whole numbers, so the block sum is exact
-    deg = np.diag(sim).copy()
+        for i in range(0, train.N, _FIT_ROWS):  # one item-row block at a time: no N x N temporary
+            sim[i : i + _FIT_ROWS] += block[:, i : i + _FIT_ROWS].T @ block  # whole counts: exact
+    deg = train.item_degrees().astype(float)  # the co-occurrence diagonal
     np.fill_diagonal(sim, 0.0)
     for lo in range(0, train.N, _FIT_ROWS):  # cosine, then the row's top S, in place
         rows = sim[lo : lo + _FIT_ROWS]
-        norm = np.sqrt(np.outer(deg[lo : lo + _FIT_ROWS], deg))
-        np.divide(rows, norm, out=rows, where=norm > 0)
+        # a nonzero count has both degrees nonzero; a zero count stays 0.0 either way
+        np.divide(rows, np.sqrt(np.outer(deg[lo : lo + _FIT_ROWS], deg)), out=rows, where=rows > 0)
         keep = np.zeros((len(rows), train.N + 1), dtype=bool)  # the kernel's -1 pads land in the spare column
         np.put_along_axis(keep, topk_from_scores(rows, S, rows <= 0), True, axis=1)
         rows[~keep[:, :-1]] = 0.0

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from noisyrec.corpus import ParseError
+
 
 @dataclass
 class PreferenceParams:
@@ -83,12 +85,31 @@ def topk_from_scores(scores: np.ndarray, k: int, excluded: np.ndarray) -> np.nda
     """Top-k indices of each row of a (B, N) score block, by (score desc, index asc).
 
     `excluded` is a (B, N) boolean mask of items never returned. The result is
-    (B, k) int64; a row with fewer than k candidates is padded with -1.
+    (B, k) int64; a row with fewer than k candidates is padded with -1. NaN
+    scores rank after every real score.
     """
+    cols = None
+    if 0 < k < scores.shape[1]:
+        # Preselect: an item can reach the top k only if it is not excluded and scores at least
+        # the row's k-th highest real score (any item, when the row has fewer than k). Ties with
+        # that score stay in and the window keeps ascending index order, so the stable sort
+        # below still breaks ties by index; a column that only pads a row's window is excluded,
+        # NaN or scored below the cut, so it sorts after every candidate.
+        key = np.where(excluded, np.nan, -scores)
+        key.partition(k - 1, axis=1)  # in place; NaN keys go last
+        cut = -key[:, k - 1 : k]  # NaN when the row has fewer than k real scores
+        cand = ~excluded & ((scores >= cut) | np.isnan(cut))
+        width = int(np.count_nonzero(cand, axis=1).max(initial=0))  # under k: the rest is padding
+        cols = np.argsort(~cand, axis=1, kind="stable")[:, :width]
+        scores = np.take_along_axis(scores, cols, axis=1)
+        excluded = np.take_along_axis(excluded, cols, axis=1)
     # the mask is the primary key; as +inf on the negated scores it would sort ahead of NaN
     order = np.lexsort((-scores, excluded), axis=-1)[:, :k]
+    dropped = np.take_along_axis(excluded, order, axis=-1)
+    if cols is not None:
+        order = np.take_along_axis(cols, order, axis=-1)
     top = np.full((scores.shape[0], k), -1, dtype=np.int64)
-    top[:, : order.shape[1]] = np.where(np.take_along_axis(excluded, order, axis=-1), -1, order)
+    top[:, : order.shape[1]] = np.where(dropped, -1, order)
     return top
 
 
@@ -119,18 +140,33 @@ def save_checkpoint(path, theta: PreferenceParams, phi: NoiseParams):
 
 
 def load_checkpoint(path):
+    """Read a save_checkpoint table; a malformed header, row or token raises ParseError naming its line."""
     with open(path, "r", encoding="utf-8") as fh:
-        M, N, K, L = (int(x) for x in fh.readline().split())
-        rows = [np.array([float(x) for x in line.split()]) for line in fh if line.strip()]
-    expect = M + N + (M + N if L > 0 else 0)
-    if len(rows) != expect:
-        raise ValueError(f"checkpoint has {len(rows)} rows, expected {expect}")
-    U = np.vstack(rows[:M])
-    V = np.vstack(rows[M : M + N])
-    if L > 0:
-        P = np.vstack(rows[M + N : 2 * M + N])
-        Q = np.vstack(rows[2 * M + N :])
-    else:
-        P = np.zeros((M, 0))
-        Q = np.zeros((N, 0))
+        header = fh.readline()
+        try:
+            M, N, K, L = (int(x) for x in header.split())
+            if min(M, N, L) < 0 or K < 1:
+                raise ValueError
+        except ValueError:
+            raise ParseError(path, 1, f"expected header 'M N K L', got {header.rstrip()!r}") from None
+        widths = [K] * (M + N) + [L] * (M + N if L > 0 else 0)  # save_checkpoint writes no empty row
+        rows, lineno = [], 1
+        for lineno, line in enumerate(fh, start=2):
+            tokens = line.split()
+            if not tokens:
+                continue
+            if len(rows) == len(widths):
+                raise ParseError(path, lineno, f"extra row: header {M} {N} {K} {L} gives {len(widths)} rows")
+            if len(tokens) != widths[len(rows)]:
+                raise ParseError(path, lineno, f"expected {widths[len(rows)]} values, got {len(tokens)}")
+            try:
+                rows.append(list(map(float, tokens)))
+            except ValueError as exc:
+                raise ParseError(path, lineno, str(exc)) from None
+    if len(rows) < len(widths):
+        raise ParseError(path, lineno + 1, f"missing rows: header {M} {N} {K} {L} gives {len(widths)}, got {len(rows)}")
+    U = np.array(rows[:M], dtype=float).reshape(M, K)
+    V = np.array(rows[M : M + N], dtype=float).reshape(N, K)
+    P = np.array(rows[M + N : 2 * M + N], dtype=float).reshape(M, L)  # (M, 0) when L = 0
+    Q = np.array(rows[2 * M + N :], dtype=float).reshape(N, L)
     return PreferenceParams(U, V), NoiseParams(P, Q)

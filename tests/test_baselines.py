@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from noisyrec import baselines
 from noisyrec.baselines import (
     fit_itemknn,
     fit_itempop,
@@ -97,6 +98,13 @@ def test_itemknn_sim_equals_dense_reference(M, N, S):
     rng = np.random.default_rng(M)
     table = InteractionTable(M, N, np.argwhere(rng.random((M, N)) < 0.2))
     assert np.array_equal(fit_itemknn(table, S).sim, itemknn_sim_reference(table, S))
+
+
+def test_itemknn_sim_equals_dense_reference_across_item_blocks(monkeypatch):
+    monkeypatch.setattr(baselines, "_FIT_ROWS", 7)  # several user and item-row blocks, the last partial
+    rng = np.random.default_rng(9)
+    table = InteractionTable(40, 30, np.argwhere(rng.random((40, 30)) < 0.2))
+    assert np.array_equal(fit_itemknn(table, 4).sim, itemknn_sim_reference(table, 4))
 
 
 def test_itemknn_top_s_truncation():

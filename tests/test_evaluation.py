@@ -169,6 +169,41 @@ def test_topk_kernel_never_returns_excluded_items():
     assert topk_from_scores(scores, 6, excluded).tolist() == [[2, 0, -1, -1, -1, -1]]
 
 
+def topk_reference(scores, k, excluded):
+    """One stable lexsort over every column (excluded last, score desc, index asc), cut to k."""
+    order = np.lexsort((-scores, excluded), axis=-1)[:, :k]
+    top = np.full((scores.shape[0], k), -1, dtype=np.int64)
+    top[:, : order.shape[1]] = np.where(np.take_along_axis(excluded, order, axis=-1), -1, order)
+    return top
+
+
+def test_topk_kernel_equals_full_sort_reference():
+    rng = np.random.default_rng(5)
+    seen = {"tie_at_cut": 0, "all_excluded": 0, "short_row": 0, "k=N-1": 0, "k=N": 0, "k>N": 0, "B=1": 0}
+    for trial in range(1500):
+        B, N = int(rng.choice([1, 2, 4, 9])), int(rng.integers(1, 40))
+        k = int(rng.choice([1, 2, 5, 20, max(N - 1, 1), N, N + 3]))
+        scores = rng.integers(-2, 3, size=(B, N)).astype(float)  # five values: heavy ties
+        for value in (np.nan, np.inf, -np.inf):
+            scores[rng.random((B, N)) < rng.choice([0.0, 0.1, 0.4])] = value
+        excluded = rng.random((B, N)) < rng.choice([0.0, 0.3, 0.9])
+        excluded[rng.random(B) < 0.15] = True
+        got, want = topk_from_scores(scores, k, excluded), topk_reference(scores, k, excluded)
+        assert got.dtype == np.int64 and np.array_equal(got, want), (trial, scores, k, excluded)
+        real = ~excluded & ~np.isnan(scores)
+        if k < N:
+            kth = -np.sort(np.where(real, -scores, np.inf), axis=1)[:, k - 1 : k]
+            above, at_least = (real & (scores > kth)).sum(axis=1), (real & (scores >= kth)).sum(axis=1)
+            seen["tie_at_cut"] += bool(np.any((above < k) & (at_least > k)))  # a tie spans rank k
+        seen["all_excluded"] += int(excluded.all(axis=1).any())
+        seen["short_row"] += int(((~excluded).sum(axis=1) < k).any())
+        seen["k=N-1"] += k == N - 1
+        seen["k=N"] += k == N
+        seen["k>N"] += k > N
+        seen["B=1"] += B == 1
+    assert min(seen.values()) >= 20, seen
+
+
 def random_case(rng, M, N):
     """Train and held-out tables plus a tie-heavy score matrix with NaN and +-inf."""
     train = rng.random((M, N)) < rng.choice([0.0, 0.3, 0.9])  # 0.9: fewer than kmax candidates

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from noisyrec.corpus import ParseError
 from noisyrec.model import (
     InitSpec,
     NoiseParams,
@@ -138,3 +139,39 @@ def test_checkpoint_roundtrip_l_zero(tmp_path):
     theta2, phi2 = load_checkpoint(path)
     assert np.array_equal(theta.U, theta2.U)
     assert phi2.L == 0 and phi2.P.shape == (4, 0) and phi2.Q.shape == (6, 0)
+
+
+def _edit_line(lineno, edit):
+    return lambda lines: lines[: lineno - 1] + edit(lines[lineno - 1]) + lines[lineno:]
+
+
+@pytest.mark.parametrize("edit, lineno, match", [
+    (_edit_line(3, lambda row: [row.rsplit(" ", 1)[0]]), 3, "expected 4 values, got 3"),  # short U row
+    (_edit_line(6, lambda row: [row + " 0.5"]), 6, "expected 4 values, got 5"),  # long V row
+    (_edit_line(10, lambda row: ["x " + row.split(" ", 1)[1]]), 10, "could not convert"),  # P token
+    (lambda lines: lines[:-1], 17, "missing rows"),  # the last Q row
+    (lambda lines: lines + [lines[-1]], 18, "extra row"),
+    (lambda lines: [row + " 0.5" if 1 < i <= 4 else row for i, row in enumerate(lines, 1)], 2, "got 5"),  # U rows K+1 wide
+    (lambda lines: ["3 5 4"] + lines[1:], 1, "header"),
+])
+def test_checkpoint_defects_name_their_line(tmp_path, edit, lineno, match):
+    rng = np.random.default_rng(3)
+    theta = PreferenceParams(U=rng.normal(size=(3, 4)), V=rng.normal(size=(5, 4)))
+    phi = NoiseParams(P=rng.normal(size=(3, 2)), Q=rng.normal(size=(5, 2)))
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(path, theta, phi)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ParseError, match=match) as exc:
+        load_checkpoint(path)
+    assert exc.value.lineno == lineno and exc.value.path == path
+
+
+def test_checkpoint_text_is_unchanged(tmp_path):
+    theta = PreferenceParams(U=np.array([[0.1, -2.0]]), V=np.array([[1 / 3, 1e-300], [np.pi, 5.0]]))
+    phi = NoiseParams(P=np.array([[0.5]]), Q=np.array([[-0.25], [7.0]]))
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(path, theta, phi)
+    assert path.read_text() == (
+        "1 2 2 1\n0.10000000000000001 -2\n0.33333333333333331 1e-300\n"
+        "3.1415926535897931 5\n0.5\n-0.25\n7\n"
+    )
