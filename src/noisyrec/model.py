@@ -93,16 +93,20 @@ def topk_from_scores(scores: np.ndarray, k: int, excluded: np.ndarray) -> np.nda
         # Preselect: an item can reach the top k only if it is not excluded and scores at least
         # the row's k-th highest real score (any item, when the row has fewer than k). Ties with
         # that score stay in and the window keeps ascending index order, so the stable sort
-        # below still breaks ties by index; a column that only pads a row's window is excluded,
-        # NaN or scored below the cut, so it sorts after every candidate.
+        # below still breaks ties by index; the columns that only pad a row's window are marked
+        # excluded, so they sort after every candidate.
         key = np.where(excluded, np.nan, -scores)
         key.partition(k - 1, axis=1)  # in place; NaN keys go last
         cut = -key[:, k - 1 : k]  # NaN when the row has fewer than k real scores
         cand = ~excluded & ((scores >= cut) | np.isnan(cut))
-        width = int(np.count_nonzero(cand, axis=1).max(initial=0))  # under k: the rest is padding
-        cols = np.argsort(~cand, axis=1, kind="stable")[:, :width]
+        rows, idx = np.nonzero(cand)  # row-major: each row's candidates in ascending index
+        counts = np.count_nonzero(cand, axis=1)
+        slot = np.arange(len(idx)) - (np.cumsum(counts) - counts)[rows]
+        cols = np.zeros((len(cand), int(counts.max(initial=0))), dtype=np.int64)
+        cols[rows, slot] = idx
         scores = np.take_along_axis(scores, cols, axis=1)
-        excluded = np.take_along_axis(excluded, cols, axis=1)
+        excluded = np.ones(cols.shape, dtype=bool)
+        excluded[rows, slot] = False
     # the mask is the primary key; as +inf on the negated scores it would sort ahead of NaN
     order = np.lexsort((-scores, excluded), axis=-1)[:, :k]
     dropped = np.take_along_axis(excluded, order, axis=-1)

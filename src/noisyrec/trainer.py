@@ -198,21 +198,41 @@ def _point_terms(optimizer: Optimizer, r_pos, g_pos, r_neg, g_neg):
     raise ValueError(f"{optimizer} is not a point-wise optimizer")
 
 
-def _dots(A, rows_a, B, rows_b):
-    return np.einsum("ij,ij->i", A[rows_a], B[rows_b])
-
-
-def _apply_sparse(mat, rows, grad_rows, eta, lam, touched):
+def _apply_sparse(mat, rows, grad, eta, lam, touched):
     """mat[rows] += eta * grad (scattered); touched rows decay by eta * lam.
 
-    `touched` must be sorted unique; rows outside it stay bit-identical.
+    `touched` must be sorted unique; rows outside it stay bit-identical. Each
+    entry sums 0 + c1 + c2 + ... in the order of `rows` (np.bincount adds in
+    input order); one bincount per column needs no (rows x K) index array.
     """
-    acc = np.zeros((len(touched), mat.shape[1]))
-    for r, g in zip(rows, grad_rows):
-        np.add.at(acc, np.searchsorted(touched, r), g)
+    slot = np.searchsorted(touched, rows)
+    acc = np.empty((len(touched), mat.shape[1]))
+    for k in range(mat.shape[1]):
+        acc[:, k] = np.bincount(slot, weights=grad[:, k], minlength=len(touched))
     if lam > 0:
-        acc -= lam * mat[touched]
-    mat[touched] += eta * acc
+        old = mat[touched]
+        old *= lam
+        acc -= old
+        del old  # before the scatter's own T x K temporary
+    acc *= eta
+    mat[touched] += acc
+
+
+def _gather(*parts):
+    """The pre-step rows mat[rows] of each (mat, rows) part, stacked in one block.
+
+    glibc trims its heap top once the free space there exceeds twice the
+    largest block freed so far; one block keeps the step's temporaries under
+    that, where smaller ones let them page-fault back in every step. The
+    rows are in range (train table, sampler), so mode="wrap" skips the
+    bounds check that makes take copy through a buffer.
+    """
+    block = np.empty((sum(len(rows) for _, rows in parts), parts[0][0].shape[1]))
+    start = 0
+    for mat, rows in parts:
+        np.take(mat, rows, axis=0, out=block[start : start + len(rows)], mode="wrap")
+        start += len(rows)
+    return block
 
 
 def point_step(theta: PreferenceParams, phi: Optional[NoiseParams], batch: Batch, config: TrainConfig) -> float:
@@ -220,68 +240,73 @@ def point_step(theta: PreferenceParams, phi: Optional[NoiseParams], batch: Batch
 
     Returns the unregularized objective of the batch at the pre-step parameters.
     """
-    U, V = theta.U, theta.V
+    n = len(batch.pos_u)
     has_phi = phi is not None and phi.L > 0
-    r_pos = _dots(U, batch.pos_u, V, batch.pos_i)
-    r_neg = _dots(U, batch.neg_u, V, batch.neg_j)
+    # rows of the positive group, then of the negative group: this is the
+    # scatter's summation order
+    users = np.concatenate([batch.pos_u, batch.neg_u])
+    items = np.concatenate([batch.pos_i, batch.neg_j])
+    block = _gather((theta.U, users), (theta.V, items))
+    Ub, Vb = block[: len(users)], block[len(users) :]
+    r = np.einsum("ij,ij->i", Ub, Vb)
     if has_phi:
-        g_pos = _dots(phi.P, batch.pos_u, phi.Q, batch.pos_i)
-        g_neg = _dots(phi.P, batch.neg_u, phi.Q, batch.neg_j)
+        Pb, Qb = phi.P[users], phi.Q[items]
+        g = np.einsum("ij,ij->i", Pb, Qb)
     else:
-        g_pos = np.zeros_like(r_pos)
-        g_neg = np.zeros_like(r_neg)
+        g = np.zeros_like(r)
 
     value, ct_pos, cp_pos, ct_neg, cp_neg = _point_terms(
-        config.optimizer, r_pos, g_pos, r_neg, g_neg
+        config.optimizer, r[:n], g[:n], r[n:], g[n:]
     )
     if config.balance_positives:
         ct_pos = ct_pos * config.rho
         if cp_pos is not None:
             cp_pos = cp_pos * config.rho
 
-    touched_u = sorted_unique(np.concatenate([batch.pos_u, batch.neg_u]))
-    touched_i = sorted_unique(np.concatenate([batch.pos_i, batch.neg_j]))
+    touched_u = sorted_unique(users)
+    touched_i = sorted_unique(items)
 
-    # gradients read pre-step rows; V update uses pre-step U and vice versa
-    dU_pos = ct_pos[:, None] * V[batch.pos_i]
-    dU_neg = ct_neg[:, None] * V[batch.neg_j]
-    dV_pos = ct_pos[:, None] * U[batch.pos_u]
-    dV_neg = ct_neg[:, None] * U[batch.neg_u]
+    # the gathered rows become the gradients in place: dU = c * V, dV = c * U
+    ct = np.concatenate([ct_pos, ct_neg])[:, None]
+    Vb *= ct
+    Ub *= ct
+    _apply_sparse(theta.U, users, Vb, config.eta, config.lambda_theta, touched_u)
+    _apply_sparse(theta.V, items, Ub, config.eta, config.lambda_theta, touched_i)
     if has_phi and cp_pos is not None:
-        dP_pos = cp_pos[:, None] * phi.Q[batch.pos_i]
-        dP_neg = cp_neg[:, None] * phi.Q[batch.neg_j]
-        dQ_pos = cp_pos[:, None] * phi.P[batch.pos_u]
-        dQ_neg = cp_neg[:, None] * phi.P[batch.neg_u]
-
-    _apply_sparse(U, (batch.pos_u, batch.neg_u), (dU_pos, dU_neg), config.eta, config.lambda_theta, touched_u)
-    _apply_sparse(V, (batch.pos_i, batch.neg_j), (dV_pos, dV_neg), config.eta, config.lambda_theta, touched_i)
-    if has_phi and cp_pos is not None:
-        _apply_sparse(phi.P, (batch.pos_u, batch.neg_u), (dP_pos, dP_neg), config.eta, config.lambda_phi, touched_u)
-        _apply_sparse(phi.Q, (batch.pos_i, batch.neg_j), (dQ_pos, dQ_neg), config.eta, config.lambda_phi, touched_i)
+        cp = np.concatenate([cp_pos, cp_neg])[:, None]
+        Qb *= cp
+        Pb *= cp
+        _apply_sparse(phi.P, users, Qb, config.eta, config.lambda_phi, touched_u)
+        _apply_sparse(phi.Q, items, Pb, config.eta, config.lambda_phi, touched_i)
     return value
 
 
 def pairwise_step(theta: PreferenceParams, batch: Batch, config: TrainConfig) -> float:
     """One BPR-style step: ascend ln sigma(r_ui - r_uj) per (positive, negative) pair.
 
+    The pairs are (neg_u, repeat(pos_i, rho), neg_j); neg_u is pos_u repeated rho times.
     Returns the batch objective, the sum of ln sigma(r_ui - r_uj), at the pre-step parameters.
     """
-    U, V = theta.U, theta.V
-    rho = batch.rho
-    pu = np.repeat(batch.pos_u, rho)
-    pi = np.repeat(batch.pos_i, rho)
-    x = _dots(U, pu, V, pi) - _dots(U, batch.neg_u, V, batch.neg_j)
-    c = sigmoid(-x)
+    n, m, rho = len(batch.pos_u), len(batch.neg_u), batch.rho
+    users = batch.neg_u  # the user of every pair
+    items = np.concatenate([np.repeat(batch.pos_i, rho), batch.neg_j])
+    block = _gather((theta.V, batch.pos_i), (theta.U, users), (theta.V, batch.neg_j))
+    Vp, Ub, Vn = block[:n], block[n : n + m], block[n + m :]
+    # a positive's score is the same in its rho pairs; Ub[::rho] are its U rows
+    x = np.repeat(np.einsum("ij,ij->i", Ub[::rho], Vp), rho) - np.einsum("ij,ij->i", Ub, Vn)
+    c = sigmoid(-x)[:, None]
 
-    touched_u = sorted_unique(pu)
-    touched_i = sorted_unique(np.concatenate([pi, batch.neg_j]))
+    touched_u = sorted_unique(users)
+    touched_i = sorted_unique(items)
 
-    dU = c[:, None] * (V[pi] - V[batch.neg_j])
-    dVi = c[:, None] * U[pu]
-    dVj = -c[:, None] * U[pu]
-
-    _apply_sparse(U, (pu,), (dU,), config.eta, config.lambda_theta, touched_u)
-    _apply_sparse(V, (pi, batch.neg_j), (dVi, dVj), config.eta, config.lambda_theta, touched_i)
+    # gradients in place: dU = c * (V_i - V_j) in Vn; then dV = c * U in Ub, -c * U in Vn
+    Vn3 = Vn.reshape(n, rho, Vn.shape[1])
+    np.subtract(Vp[:, None], Vn3, out=Vn3)
+    Vn *= c
+    _apply_sparse(theta.U, users, Vn, config.eta, config.lambda_theta, touched_u)
+    Ub *= c
+    np.negative(Ub, out=Vn)
+    _apply_sparse(theta.V, items, block[n:], config.eta, config.lambda_theta, touched_i)
     return float(np.sum(log_sigmoid(x)))
 
 

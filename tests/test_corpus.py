@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from noisyrec.corpus import (
+    IdMap,
     InteractionTable,
     ParseError,
     RawInteraction,
@@ -104,6 +105,36 @@ def test_binarize_bound_property():
         assert len(table) <= len(raw)
         if len({(r.user_key, r.item_key) for r in raw}) == len(raw):
             assert len(table) == len(raw)
+
+
+
+def reference_binarize(raw):
+    user_index, item_index = {}, {}
+    pairs = [(user_index.setdefault(r.user_key, len(user_index)),
+              item_index.setdefault(r.item_key, len(item_index))) for r in raw]
+    idmap = IdMap(list(user_index), list(item_index))
+    return idmap, InteractionTable(idmap.M, idmap.N, pairs)
+
+
+def test_binarize_equals_tuple_list_reference():
+    rng = np.random.default_rng(3)
+    for n in [0, 1, 2] + [int(x) for x in rng.integers(3, 200, 30)]:
+        raw = [RawInteraction(f"u{rng.integers(0, 12)}", f"i{rng.integers(0, 9)}", 1.0) for _ in range(n)]
+        idmap, table = binarize_and_index(raw)
+        ref_map, ref = reference_binarize(raw)
+        assert (idmap.user_keys, idmap.item_keys) == (ref_map.user_keys, ref_map.item_keys)
+        assert (table.M, table.N) == (ref.M, ref.N)
+        for got, want in ((table.codes, ref.codes), (table.indptr, ref.indptr), (table.indices, ref.indices)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_load_amazon_shares_repeated_keys(tmp_path):
+    path = tmp_path / "reviews.json"
+    rows = [("A1", "B0"), ("A2", "B0"), ("A1", "B1")]
+    path.write_text("".join(json.dumps({"reviewerID": u, "asin": i, "overall": 5.0}) + "\n" for u, i in rows))
+    raw = load_amazon_reviews(path)
+    assert [(r.user_key, r.item_key) for r in raw] == rows
+    assert raw[0].user_key is raw[2].user_key and raw[0].item_key is raw[1].item_key
 
 
 def test_kcore_hand_example():

@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from noisyrec.corpus import InteractionTable, SplitDataset, split
+from noisyrec.corpus import InteractionTable, SplitDataset, sorted_unique, split
 from noisyrec.model import PreferenceParams
 from noisyrec.objective import (
     bpo_loglik,
@@ -306,6 +307,104 @@ def test_point_terms_finite_at_saturated_logits():
         value = pairwise_step(theta, batch, config(optimizer=Optimizer.BPR, eta=0.1))
         assert np.isfinite(value)
         assert np.all(np.isfinite(theta.U)) and np.all(np.isfinite(theta.V))
+
+
+# reference steps: one 2-D np.add.at per row group, the positive group first, and fresh
+# temporaries for every gather and gradient. The steps must match them bit for bit.
+
+
+def reference_apply_sparse(mat, rows, grad_rows, eta, lam, touched):
+    acc = np.zeros((len(touched), mat.shape[1]))
+    for r, g in zip(rows, grad_rows):
+        np.add.at(acc, np.searchsorted(touched, r), g)
+    if lam > 0:
+        acc -= lam * mat[touched]
+    mat[touched] += eta * acc
+
+
+def reference_dots(A, rows_a, B, rows_b):
+    return np.einsum("ij,ij->i", A[rows_a], B[rows_b])
+
+
+def reference_point_step(theta, phi, batch, config):
+    U, V = theta.U, theta.V
+    has_phi = phi is not None and phi.L > 0
+    r_pos = reference_dots(U, batch.pos_u, V, batch.pos_i)
+    r_neg = reference_dots(U, batch.neg_u, V, batch.neg_j)
+    if has_phi:
+        g_pos = reference_dots(phi.P, batch.pos_u, phi.Q, batch.pos_i)
+        g_neg = reference_dots(phi.P, batch.neg_u, phi.Q, batch.neg_j)
+    else:
+        g_pos = np.zeros_like(r_pos)
+        g_neg = np.zeros_like(r_neg)
+    value, ct_pos, cp_pos, ct_neg, cp_neg = _point_terms(config.optimizer, r_pos, g_pos, r_neg, g_neg)
+    if config.balance_positives:
+        ct_pos = ct_pos * config.rho
+        if cp_pos is not None:
+            cp_pos = cp_pos * config.rho
+    touched_u = sorted_unique(np.concatenate([batch.pos_u, batch.neg_u]))
+    touched_i = sorted_unique(np.concatenate([batch.pos_i, batch.neg_j]))
+    dU_pos = ct_pos[:, None] * V[batch.pos_i]
+    dU_neg = ct_neg[:, None] * V[batch.neg_j]
+    dV_pos = ct_pos[:, None] * U[batch.pos_u]
+    dV_neg = ct_neg[:, None] * U[batch.neg_u]
+    if has_phi and cp_pos is not None:
+        dP_pos = cp_pos[:, None] * phi.Q[batch.pos_i]
+        dP_neg = cp_neg[:, None] * phi.Q[batch.neg_j]
+        dQ_pos = cp_pos[:, None] * phi.P[batch.pos_u]
+        dQ_neg = cp_neg[:, None] * phi.P[batch.neg_u]
+    reference_apply_sparse(U, (batch.pos_u, batch.neg_u), (dU_pos, dU_neg), config.eta, config.lambda_theta, touched_u)
+    reference_apply_sparse(V, (batch.pos_i, batch.neg_j), (dV_pos, dV_neg), config.eta, config.lambda_theta, touched_i)
+    if has_phi and cp_pos is not None:
+        reference_apply_sparse(phi.P, (batch.pos_u, batch.neg_u), (dP_pos, dP_neg), config.eta, config.lambda_phi, touched_u)
+        reference_apply_sparse(phi.Q, (batch.pos_i, batch.neg_j), (dQ_pos, dQ_neg), config.eta, config.lambda_phi, touched_i)
+    return value
+
+
+def reference_pairwise_step(theta, batch, config):
+    U, V = theta.U, theta.V
+    rho = batch.rho
+    pu = np.repeat(batch.pos_u, rho)
+    pi = np.repeat(batch.pos_i, rho)
+    x = reference_dots(U, pu, V, pi) - reference_dots(U, batch.neg_u, V, batch.neg_j)
+    c = sigmoid(-x)
+    touched_u = sorted_unique(pu)
+    touched_i = sorted_unique(np.concatenate([pi, batch.neg_j]))
+    dU = c[:, None] * (V[pi] - V[batch.neg_j])
+    dVi = c[:, None] * U[pu]
+    dVj = -c[:, None] * U[pu]
+    reference_apply_sparse(U, (pu,), (dU,), config.eta, config.lambda_theta, touched_u)
+    reference_apply_sparse(V, (pi, batch.neg_j), (dVi, dVj), config.eta, config.lambda_theta, touched_i)
+    return float(np.sum(log_sigmoid(x)))
+
+
+def test_steps_bit_identical_to_reference():
+    rng = np.random.default_rng(12)
+    M, N, K = 5, 6, 4  # few rows, so users and items repeat within and across the groups
+    seen = {"repeat_within": 0, "repeat_across": 0}
+    cases = itertools.product(Optimizer, (False, True), (0.0, 0.3), (0, 3), (1, 3))
+    for optimizer, balance, lam, L, rho in cases:
+        cfg = config(optimizer=optimizer, eta=0.7, rho=rho, K=K, L=L, lambda_theta=lam,
+                     lambda_phi=lam, balance_positives=balance)
+        theta, phi = random_params(rng, M, N, K, L, scale=1.0)
+        ref_theta, ref_phi = theta.copy(), phi.copy()
+        for step in range(4):
+            n = int(rng.integers(1, 9))
+            pos_u = rng.integers(0, M, n)
+            batch = Batch(pos_u, rng.integers(0, N, n), np.repeat(pos_u, rho), rng.integers(0, N, n * rho))
+            seen["repeat_within"] += len(np.unique(batch.neg_j)) < len(batch.neg_j)
+            seen["repeat_across"] += bool(np.intersect1d(batch.pos_i, batch.neg_j).size)
+            if optimizer in PAIRWISE:
+                value = pairwise_step(theta, batch, cfg)
+                expected = reference_pairwise_step(ref_theta, batch, cfg)
+            else:
+                value = point_step(theta, phi, batch, cfg)
+                expected = reference_point_step(ref_theta, ref_phi, batch, cfg)
+            case = (optimizer, balance, lam, L, rho, step)
+            assert value == expected, case
+            for got, want in ((theta.U, ref_theta.U), (theta.V, ref_theta.V), (phi.P, ref_phi.P), (phi.Q, ref_phi.Q)):
+                assert np.array_equal(got, want), case
+    assert min(seen.values()) >= 50, seen
 
 
 # --------------------------------------------------------------------------
