@@ -28,46 +28,73 @@ def itempop_scorer(model: PopularityModel) -> Callable:
 
 @dataclass
 class ItemKnnModel:
-    """Cosine similarities over binary user vectors, each row cut to its top S."""
+    """Cosine similarities over binary user vectors, each item's row cut to its top S.
 
-    sim: np.ndarray  # N x N; sim[i, j] > 0 only for the S nearest neighbours j of item i
+    Stored neighbour-major, in CSR form: row j, ``items[indptr[j]:indptr[j + 1]]``,
+    lists in ascending order every item i that keeps j among its S nearest, and
+    ``weights`` holds sim(i, j) alongside. That is the transpose of the truncated
+    N x N similarity matrix, with only its nonzeros kept.
+    """
+
+    indptr: np.ndarray  # N + 1 int64 row bounds
+    items: np.ndarray  # int64 items i, ascending within each row j
+    weights: np.ndarray  # float64 sim(i, j) > 0
 
 
-_FIT_ROWS = 512  # users per co-occurrence block, and items per truncation block
+_FIT_ROWS = 256  # users per co-occurrence block, and items per similarity block
 
 
 def fit_itemknn(train: InteractionTable, S: int = 50) -> ItemKnnModel:
     """Cosine similarity |users(i) & users(j)| / sqrt(|users(i)| |users(j)|).
 
     Each item keeps its S most similar other items, ties broken by ascending
-    index; every other entry of its row is zero.
+    index. One block of item rows is built at a time, never an N x N matrix.
     """
     if S < 1:
         raise ValueError("S must be >= 1")
-    sim = np.zeros((train.N, train.N))
-    for lo in range(0, train.M, _FIT_ROWS):
-        block = train.dense_rows(lo, min(lo + _FIT_ROWS, train.M)).astype(float)
-        for i in range(0, train.N, _FIT_ROWS):  # one item-row block at a time: no N x N temporary
-            sim[i : i + _FIT_ROWS] += block[:, i : i + _FIT_ROWS].T @ block  # whole counts: exact
+    N = train.N
+    k = min(S, N)  # the top-k kernel pads with -1 past the N - 1 other items anyway
     deg = train.item_degrees().astype(float)  # the co-occurrence diagonal
-    np.fill_diagonal(sim, 0.0)
-    for lo in range(0, train.N, _FIT_ROWS):  # cosine, then the row's top S, in place
-        rows = sim[lo : lo + _FIT_ROWS]
+    triples = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]  # (i, j, sim): N = 0 has no blocks
+    for lo in range(0, N, _FIT_ROWS):
+        hi = min(lo + _FIT_ROWS, N)
+        rows = np.zeros((hi - lo, N))
+        for u in range(0, train.M, _FIT_ROWS):
+            # 0/1 products summed over at most _FIT_ROWS < 2**24 users: whole counts, exact in float32
+            block = train.dense_rows(u, min(u + _FIT_ROWS, train.M)).astype(np.float32)
+            rows += block[:, lo:hi].T @ block
+        rows[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
         # a nonzero count has both degrees nonzero; a zero count stays 0.0 either way
-        np.divide(rows, np.sqrt(np.outer(deg[lo : lo + _FIT_ROWS], deg)), out=rows, where=rows > 0)
-        keep = np.zeros((len(rows), train.N + 1), dtype=bool)  # the kernel's -1 pads land in the spare column
-        np.put_along_axis(keep, topk_from_scores(rows, S, rows <= 0), True, axis=1)
-        rows[~keep[:, :-1]] = 0.0
-    return ItemKnnModel(sim=sim)
+        np.divide(rows, np.sqrt(np.outer(deg[lo:hi], deg)), out=rows, where=rows > 0)
+        top = topk_from_scores(rows, k, rows <= 0)
+        r, c = np.nonzero(top >= 0)
+        triples.append((lo + r, top[r, c], rows[r, top[r, c]]))
+    i, j, w = (np.concatenate(part) for part in zip(*triples))
+    order = np.lexsort((i, j))  # neighbour-major: by j, then ascending i
+    return ItemKnnModel(indptr=np.searchsorted(j[order], np.arange(N + 1)), items=i[order], weights=w[order])
 
 
 def knn_score(model: ItemKnnModel, train: InteractionTable, u: int, i: int) -> float:
-    """Sum of similarities between item i and user u's train positives."""
-    return float(sum(model.sim[i, j] for j in train.per_user[u]))
+    """Sum of similarities between item i and user u's train positives, one lookup at a time."""
+    total = 0.0
+    for j in train.per_user[u]:
+        lo = model.indptr[j]
+        row = model.items[lo : model.indptr[j + 1]]
+        at = np.searchsorted(row, i)
+        if at < len(row) and row[at] == i:
+            total += model.weights[lo + at]
+    return float(total)
 
 
 def itemknn_scorer(model: ItemKnnModel, train: InteractionTable) -> Callable:
+    N, lengths = len(model.indptr) - 1, np.diff(model.indptr)
+
     def score_user(u: int) -> np.ndarray:
-        return model.sim[:, train.per_user[u]].sum(axis=1)  # zeros for a user with no positives
+        voted = train.indices[train.indptr[u] : train.indptr[u + 1]]
+        starts, lens = model.indptr[voted], lengths[voted]
+        take = np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+        # each item's contributions arrive in ascending j and are summed in that order from 0.0,
+        # as the dense sim[:, voted].sum(axis=1) adds them; bincount is int64 when take is empty
+        return np.bincount(model.items[take], model.weights[take], minlength=N).astype(float, copy=False)
 
     return score_user

@@ -130,6 +130,8 @@ def run(spec: ExperimentSpec, dataset: Optional[corpus.SplitDataset] = None) -> 
         for rep in range(spec.repeat_count):
             cfg = replace(spec.config, optimizer=Optimizer(spec.method), seed=spec.config.seed + rep)
             history = train(dataset, cfg, exclude_train=spec.exclude_train)
+            if history.best_epoch < 0:
+                raise ValueError(f"{cfg.optimizer.value} seed {cfg.seed} diverged at epoch 0: no snapshot to test")
             csv_path = os.path.join(spec.output_dir, f"epochs_seed{cfg.seed}.csv")
             with open(csv_path, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(history.to_csv_lines(EVAL_KS)) + "\n")
@@ -141,6 +143,7 @@ def run(spec: ExperimentSpec, dataset: Optional[corpus.SplitDataset] = None) -> 
             repeats.append({
                 "seed": cfg.seed,
                 "best_epoch": history.best_epoch,
+                "diverged_at": history.diverged_at,
                 "validation": _report_dict(best),
                 "test": _report_dict(test),
             })

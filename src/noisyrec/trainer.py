@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -29,6 +30,7 @@ class Optimizer(str, enum.Enum):
 
 PAIRWISE = (Optimizer.BPR, Optimizer.WBPR)
 NOISE_AWARE = (Optimizer.NBPO_O, Optimizer.NBPO_S, Optimizer.NBPO_SS)
+DIVERGENCE_CEILING = 1e8  # an embedding norm or |objective| past this, or non-finite, stops training
 
 
 @dataclass
@@ -87,6 +89,7 @@ class TrainHistory:
     best_epoch: int = -1
     best_theta: Optional[PreferenceParams] = None
     best_phi: Optional[NoiseParams] = None
+    diverged_at: Optional[int] = None  # the epoch whose steps blew up; it is neither evaluated nor kept
 
     def best_f1_at_2(self) -> float:
         if self.best_epoch < 0:
@@ -359,6 +362,16 @@ def dense_gradient(optimizer: Optimizer, terms, theta: PreferenceParams, phi: No
 # training loop
 
 
+def _divergence(theta: PreferenceParams, phi: NoiseParams, objective: float) -> Optional[str]:
+    """The first of |U|, |V|, |P|, |Q| (Frobenius) and |objective| that is non-finite or past the ceiling."""
+    with np.errstate(over="ignore"):  # a norm past 1e154 overflows its squares to inf, and inf is caught
+        values = [np.linalg.norm(mat) for mat in (theta.U, theta.V, phi.P, phi.Q)] + [objective]
+    for name, value in zip(("|U|", "|V|", "|P|", "|Q|", "objective"), values):
+        if not abs(value) <= DIVERGENCE_CEILING:  # NaN fails the comparison too
+            return f"{name} = {value:.3g}"
+    return None
+
+
 def train(
     dataset: SplitDataset,
     config: TrainConfig,
@@ -370,7 +383,10 @@ def train(
 
     Each epoch shuffles the train positives, cuts them into batches, attaches
     rho fresh negatives per positive, and applies the configured step. The
-    best snapshot is selected by validation F1@2.
+    best snapshot is selected by validation F1@2. An epoch after which a
+    parameter norm or the objective is non-finite or past DIVERGENCE_CEILING
+    stops training with a warning and sets ``diverged_at``; the snapshots of
+    the epochs before it are kept.
     """
     from noisyrec.evaluation import evaluate, mf_scorer
 
@@ -414,6 +430,14 @@ def train(
             else:
                 objective += point_step(theta, phi, batch, config)
 
+        blown = _divergence(theta, phi, objective)
+        if blown:
+            history.diverged_at = epoch
+            warnings.warn(
+                f"{config.optimizer.value} diverged at epoch {epoch} ({blown}); training stopped",
+                RuntimeWarning, stacklevel=2,
+            )
+            break
         report = evaluator(theta)
         history.epochs.append(EpochRecord(epoch=epoch, objective=objective, report=report))
         if report.f1[2] > best_f1:

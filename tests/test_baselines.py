@@ -41,8 +41,16 @@ def test_itempop_empty_train_tie_rule():
     assert ranking(itempop_scorer(model)(0), 4) == [0, 1, 2, 3]
 
 
+def dense_sim(model):
+    """The N x N similarity matrix, sim[i, j], scattered back from the neighbour-major CSR fields."""
+    N = len(model.indptr) - 1
+    sim = np.zeros((N, N))
+    sim[model.items, np.repeat(np.arange(N), np.diff(model.indptr))] = model.weights
+    return sim
+
+
 def sim_of(model, i, j):
-    return model.sim[i, j]
+    return dense_sim(model)[i, j]
 
 
 def test_itemknn_identical_and_disjoint():
@@ -65,8 +73,9 @@ def test_itemknn_symmetry_property():
     mask = rng.random((10, 12)) < 0.3
     table = InteractionTable(10, 12, list(zip(*np.nonzero(mask))))
     model = fit_itemknn(table, S=12)  # S large enough to avoid truncation
+    sim = dense_sim(model)
     for i in range(12):
-        for j in np.flatnonzero(model.sim[i]):
+        for j in np.flatnonzero(sim[i]):
             s = sim_of(model, i, j)
             assert abs(s - sim_of(model, j, i)) <= 1e-12
             assert 0.0 <= s <= 1.0 + 1e-12
@@ -97,14 +106,14 @@ def test_itemknn_sim_equals_dense_reference(M, N, S):
     # binary data ties often at the top-S cut; M = 700 spans two co-occurrence blocks
     rng = np.random.default_rng(M)
     table = InteractionTable(M, N, np.argwhere(rng.random((M, N)) < 0.2))
-    assert np.array_equal(fit_itemknn(table, S).sim, itemknn_sim_reference(table, S))
+    assert np.array_equal(dense_sim(fit_itemknn(table, S)), itemknn_sim_reference(table, S))
 
 
 def test_itemknn_sim_equals_dense_reference_across_item_blocks(monkeypatch):
     monkeypatch.setattr(baselines, "_FIT_ROWS", 7)  # several user and item-row blocks, the last partial
     rng = np.random.default_rng(9)
     table = InteractionTable(40, 30, np.argwhere(rng.random((40, 30)) < 0.2))
-    assert np.array_equal(fit_itemknn(table, 4).sim, itemknn_sim_reference(table, 4))
+    assert np.array_equal(dense_sim(fit_itemknn(table, 4)), itemknn_sim_reference(table, 4))
 
 
 def test_itemknn_top_s_truncation():
@@ -112,7 +121,48 @@ def test_itemknn_top_s_truncation():
     mask = rng.random((15, 10)) < 0.5
     table = InteractionTable(15, 10, list(zip(*np.nonzero(mask))))
     model = fit_itemknn(table, S=3)
-    assert (np.count_nonzero(model.sim, axis=1) <= 3).all()
+    assert (np.count_nonzero(dense_sim(model), axis=1) <= 3).all()
+
+
+def test_itemknn_fit_counts_exact_past_one_block():
+    # 612 users (two full 256-user blocks and a partial one) all vote items 0-2, so the float32
+    # block products reach the block size and the float64 totals reach 612
+    rng = np.random.default_rng(5)
+    mask = rng.random((612, 10)) < 0.5
+    mask[:, :3] = True
+    table = InteractionTable(612, 10, np.argwhere(mask))
+    assert np.array_equal(dense_sim(fit_itemknn(table, 4)), itemknn_sim_reference(table, 4))
+
+
+def dense_scores(sim, table, u):
+    """The per-user score of a dense sim: a sum over the columns of u's positives, in ascending order."""
+    return sim[:, table.per_user[u]].sum(axis=1)
+
+
+def test_itemknn_scorer_equals_dense_sum_property(monkeypatch):
+    # random tables with users and items that have no train positives, S from 1 to N + 1, and
+    # several block sizes; N = 0 and M = 1 included. Scores must be bit-identical, not close
+    rng = np.random.default_rng(11)
+    shapes = [(1, 0), (4, 0), (1, 1), (1, 6)]
+    shapes += [(int(rng.integers(1, 40)), int(rng.integers(1, 25))) for _ in range(196)]
+    for t, (M, N) in enumerate(shapes):
+        monkeypatch.setattr(baselines, "_FIT_ROWS", [1, 3, 7, 256][t % 4])
+        mask = rng.random((M, N)) < rng.uniform(0.05, 0.7)
+        mask[rng.random(M) < 0.2] = False  # users with no positives
+        mask[:, rng.random(N) < 0.2] = False  # items with no train positives
+        table = InteractionTable(M, N, np.argwhere(mask))
+        S = int(rng.integers(1, N + 2))
+        model = fit_itemknn(table, S)
+        sim = itemknn_sim_reference(table, S)
+        assert np.array_equal(dense_sim(model), sim)
+        scorer = itemknn_scorer(model, table)
+        for u in range(M):
+            scores = scorer(u)
+            assert scores.dtype == np.float64 and scores.shape == (N,)
+            assert np.array_equal(scores, dense_scores(sim, table, u)), (M, N, S, u)
+        if N:
+            u, i = int(rng.integers(M)), int(rng.integers(N))
+            assert knn_score(model, table, u, i) == scorer(u)[i]
 
 
 def test_knn_score_examples():

@@ -61,6 +61,39 @@ def test_run_repeats_and_summary(tmp_path):
     assert summary["std_test"]["f1"]["2"] == pytest.approx(np.std(vals))
 
 
+def test_run_records_divergence(tmp_path):
+    # NBPO_SS at eta 50 blows up after a few epochs on the tiny split; the run still finishes
+    spec = ExperimentSpec(
+        output_dir=str(tmp_path / "out"),
+        dataset="split",
+        split_dir=write_tiny_split(tmp_path),
+        method="NBPO_SS",
+        config=tiny_config(eta=50.0, max_epochs=10),
+        repeat_count=1,
+    )
+    with pytest.warns(RuntimeWarning, match="NBPO_SS diverged at epoch"):
+        summary = run(spec)
+    rep = summary["repeats"][0]
+    assert 0 < rep["diverged_at"] < 10 and rep["best_epoch"] < rep["diverged_at"]
+    on_disk = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert on_disk["repeats"][0]["diverged_at"] == rep["diverged_at"]
+    # the diverged epoch is not evaluated, so the CSV holds only the epochs before it
+    assert len((tmp_path / "out" / "epochs_seed0.csv").read_text().splitlines()) == 1 + rep["diverged_at"]
+
+
+def test_run_rejects_divergence_in_first_epoch(tmp_path):
+    spec = ExperimentSpec(
+        output_dir=str(tmp_path / "out"),
+        dataset="split",
+        split_dir=write_tiny_split(tmp_path),
+        method="BPO",
+        config=tiny_config(optimizer="BPO", eta=1e3, batch_size=4),
+        repeat_count=1,
+    )
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="BPO seed 0 diverged at epoch 0"):
+        run(spec)
+
+
 def test_run_determinism_byte_identical(tmp_path):
     split_dir = write_tiny_split(tmp_path)
 
@@ -214,6 +247,28 @@ def test_grid_results_files(tmp_path):
     assert os.path.exists(tmp_path / "out" / "grid_best.json")
     stages = [row["stage"] for row in table]
     assert stages == ["coarse", "rho", "rho", "L", "L"]
+
+
+def test_grid_results_identical_with_two_workers(tmp_path, monkeypatch):
+    split_dir = write_tiny_split(tmp_path)
+
+    def once(workers):
+        monkeypatch.setenv("NOISYREC_WORKERS", str(workers))
+        spec = ExperimentSpec(
+            output_dir=str(tmp_path / f"w{workers}"),
+            dataset="split",
+            split_dir=split_dir,
+            method="NBPO_SS",
+            config=tiny_config(max_epochs=6),
+            repeat_count=1,
+        )
+        # eta 50 diverges: its cells stop early and the grid goes on
+        grid_search(spec, GridSpec(coarse_eta=(0.05, 50.0), coarse_lambda=(0.01, 0.1)), stages=("coarse",))
+        return (tmp_path / f"w{workers}" / "grid_results.csv").read_bytes()
+
+    with pytest.warns(RuntimeWarning, match="diverged"):
+        serial = once(1)
+    assert once(2) == serial
 
 
 def test_emit_plots_schemas(tmp_path):

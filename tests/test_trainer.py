@@ -428,6 +428,24 @@ def test_train_epoch_count_and_history():
     assert hist.best_theta is not None
 
 
+def test_train_divergence_guard_stops_and_warns(blocky_split):
+    # NBPO_SS at a large learning rate: the embedding norms blow up within a few epochs
+    cfg = TrainConfig(optimizer=Optimizer.NBPO_SS, eta=2.0, rho=2, batch_size=50,
+                      K=4, L=2, max_epochs=30, seed=1, init_scale=0.1)
+    with pytest.warns(RuntimeWarning, match=r"NBPO_SS diverged at epoch \d+") as caught:
+        hist = train(blocky_split, cfg)
+    assert 0 < hist.diverged_at < 30
+    assert f"epoch {hist.diverged_at} " in str(caught[-1].message)
+    assert [rec.epoch for rec in hist.epochs] == list(range(hist.diverged_at))  # the blown epoch is not kept
+    assert np.isfinite([rec.objective for rec in hist.epochs]).all()
+    assert hist.best_epoch < hist.diverged_at and np.isfinite(hist.best_theta.U).all()
+
+
+def test_train_without_divergence_records_none():
+    hist = train(make_split(), TrainConfig(optimizer=Optimizer.NBPO_SS, eta=0.1, K=3, L=2, max_epochs=2))
+    assert hist.diverged_at is None and len(hist.epochs) == 2
+
+
 def test_train_determinism():
     ds = make_split()
     cfg = TrainConfig(optimizer=Optimizer.NBPO_SS, eta=0.1, rho=2, batch_size=7,
