@@ -8,7 +8,6 @@ experiment harness.
 
 from noisyrec.corpus import (
     InteractionTable,
-    RawInteraction,
     SplitDataset,
     binarize_and_index,
     kcore_filter,
@@ -21,7 +20,6 @@ from noisyrec.trainer import Optimizer, TrainConfig, TrainHistory, train
 
 __all__ = [
     "InteractionTable",
-    "RawInteraction",
     "SplitDataset",
     "binarize_and_index",
     "kcore_filter",

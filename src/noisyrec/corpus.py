@@ -23,18 +23,6 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True, slots=True)
-class RawInteraction:
-    user_key: str
-    item_key: str
-    rating: float
-    timestamp: Optional[int] = None
-
-    def __post_init__(self):
-        if not self.user_key or not self.item_key:
-            raise ValueError("user_key and item_key must be non-empty")
-
-
 class IdMap:
     """Bijection between opaque user/item keys and dense contiguous indices."""
 
@@ -149,9 +137,15 @@ class SplitDataset:
     seed: int
 
 
-def load_movielens(path) -> list:
-    """Parse a MovieLens "::"-separated ratings file into raw interactions."""
-    out = []
+def load_movielens(path) -> list[tuple[str, str]]:
+    """Parse a MovieLens "::"-separated ratings file into (user_key, item_key) rows.
+
+    Every nonblank line is one row, in file order. A line holds four fields:
+    non-empty user and item keys, a rating float() accepts and an int()
+    timestamp; the rating and timestamp are checked, then dropped. Repeated
+    keys share one str object.
+    """
+    out, keys = [], {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -162,14 +156,26 @@ def load_movielens(path) -> list:
                 raise ParseError(path, lineno, f"expected 4 '::'-separated fields, got {len(fields)}")
             user, item, rating, ts = fields
             try:
-                out.append(RawInteraction(user, item, float(rating), int(ts)))
+                float(rating), int(ts)
             except ValueError as exc:
                 raise ParseError(path, lineno, str(exc)) from exc
+            if not (user and item):
+                raise ParseError(path, lineno, f"empty user or item key in {line!r}")
+            out.append((keys.setdefault(user, user), keys.setdefault(item, item)))
     return out
 
 
-def load_amazon_reviews(path) -> list:
-    """Parse a one-JSON-object-per-line review file into raw interactions."""
+def load_amazon_reviews(path) -> list[tuple[str, str]]:
+    """Parse a one-JSON-object-per-line review file into (user_key, item_key) rows.
+
+    Every nonblank line is one row, in file order. A line must be a JSON object
+    with non-empty string fields "reviewerID" and "asin" and an "overall" that
+    float() accepts; the rating is checked, then dropped. Repeated keys share
+    one str object.
+    """
+    # raw_decode is json.loads without its whitespace scans and type checks; on a
+    # stripped line both accept the same text once the object must end the line
+    decode = json.JSONDecoder().raw_decode
     out, keys = [], {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -177,26 +183,41 @@ def load_amazon_reviews(path) -> list:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, lineno, f"invalid JSON: {exc}") from exc
-            try:
-                user = obj["reviewerID"]
-                item = obj["asin"]
-                rating = float(obj["overall"])
-            except KeyError as exc:
-                raise ParseError(path, lineno, f"missing field {exc}") from exc
-            # one str object per distinct key, not one per line
-            out.append(RawInteraction(keys.setdefault(user, user), keys.setdefault(item, item), rating))
+                obj, end = decode(line)
+                user, item = obj["reviewerID"], obj["asin"]
+                float(obj["overall"])
+            except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
+                end = -1
+            if end != len(line) or type(user) is not str or type(item) is not str or not (user and item):
+                raise ParseError(path, lineno, _review_error(line))
+            out.append((keys.setdefault(user, user), keys.setdefault(item, item)))
     return out
 
 
-def binarize_and_index(raw: Sequence[RawInteraction]):
-    """Collapse ratings to binary positives; indices in first-appearance order."""
+def _review_error(line: str) -> str:
+    """Why load_amazon_reviews rejects a stripped line: its checks again, in order."""
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        return f"invalid JSON: {exc}"
+    if not isinstance(obj, dict):
+        return f"expected a JSON object, got {type(obj).__name__}"
+    for field in ("reviewerID", "asin", "overall"):
+        if field not in obj:
+            return f"missing field {field!r}"
+    try:
+        float(obj["overall"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        return f"bad 'overall' {obj['overall']!r}: {exc}"
+    return f"reviewerID and asin must be non-empty strings, got {obj['reviewerID']!r} and {obj['asin']!r}"
+
+
+def binarize_and_index(raw: Sequence[tuple[str, str]]):
+    """Collapse (user_key, item_key) rows to binary positives; indices in first-appearance order."""
     user_index, item_index = {}, {}  # dicts keep first-insertion order
-    users = np.fromiter((user_index.setdefault(r.user_key, len(user_index)) for r in raw),
+    users = np.fromiter((user_index.setdefault(u, len(user_index)) for u, _ in raw),
                         dtype=np.int64, count=len(raw))
-    items = np.fromiter((item_index.setdefault(r.item_key, len(item_index)) for r in raw),
+    items = np.fromiter((item_index.setdefault(i, len(item_index)) for _, i in raw),
                         dtype=np.int64, count=len(raw))
     idmap = IdMap(list(user_index), list(item_index))
     table = InteractionTable(idmap.M, idmap.N, np.column_stack((users, items)))

@@ -9,7 +9,6 @@ from noisyrec.corpus import (
     IdMap,
     InteractionTable,
     ParseError,
-    RawInteraction,
     SplitDataset,
     binarize_and_index,
     kcore_filter,
@@ -27,9 +26,12 @@ from conftest import random_table
 def test_load_movielens_line(tmp_path):
     path = tmp_path / "ratings.dat"
     path.write_text("1::1193::5::978300760\n")
-    (r,) = load_movielens(path)
-    assert r.user_key == "1" and r.item_key == "1193"
-    assert r.rating == 5.0 and r.timestamp == 978300760
+    assert load_movielens(path) == [("1", "1193")]
+    # the rating and the timestamp are parsed before they are dropped
+    for text in ("1::1193::x::978300760\n", "1::1193::5::97830.0760\n"):
+        path.write_text(text)
+        with pytest.raises(ParseError, match="ratings.dat:1:"):
+            load_movielens(path)
 
 
 def test_load_movielens_empty(tmp_path):
@@ -42,16 +44,18 @@ def test_load_movielens_errors(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_movielens(tmp_path / "missing.dat")
     path = tmp_path / "bad.dat"
-    path.write_text("1::1193::5::978300760\n1::2000\n")
-    with pytest.raises(ParseError, match="2"):
-        load_movielens(path)
+    for bad in ("1::2000", "1::2000::five::978300760", "1::2000::5::", "::2000::5::978300760", "1::::5::978300760"):
+        path.write_text(f"1::1193::5::978300760\n{bad}\n")
+        with pytest.raises(ParseError, match="2") as exc:
+            load_movielens(path)
+        assert (exc.value.path, exc.value.lineno) == (path, 2)
+        assert "bad.dat:2:" in str(exc.value)
 
 
 def test_load_amazon_line(tmp_path):
     path = tmp_path / "reviews.json"
     path.write_text(json.dumps({"reviewerID": "A1", "asin": "B0", "overall": 4.0, "helpful": [0, 0]}) + "\n")
-    (r,) = load_amazon_reviews(path)
-    assert (r.user_key, r.item_key, r.rating) == ("A1", "B0", 4.0)
+    assert load_amazon_reviews(path) == [("A1", "B0")]
 
 
 def test_load_amazon_missing_field(tmp_path):
@@ -66,25 +70,49 @@ def test_load_amazon_bad_json(tmp_path):
     path.write_text('{"reviewerID": "A1"\n')
     with pytest.raises(ParseError, match="1"):
         load_amazon_reviews(path)
+    good = json.dumps({"reviewerID": "A1", "asin": "B0", "overall": 5.0})
+    for bad, match in (
+        ("[1, 2]", "JSON object, got list"),
+        ('"hello"', "JSON object, got str"),
+        ('{"reviewerID": "A1", "asin": "B0", "overall": null}', "overall"),
+        ('{"reviewerID": "A1", "asin": "B0", "overall": "five"}', "overall"),
+        ('{"reviewerID": "A1", "asin": "B0", "overall": 1%s}' % ("0" * 400), "overall"),
+        ('{"reviewerID": "A1", "asin": "", "overall": 5.0}', "non-empty strings"),
+        ('{"reviewerID": "", "asin": "B0", "overall": 5.0}', "non-empty strings"),
+        ('{"reviewerID": [1], "asin": "B0", "overall": 5.0}', "non-empty strings"),
+        ('{"reviewerID": "A1", "asin": 7, "overall": 5.0}', "non-empty strings"),
+        ('{"reviewerID": "A1", "asin": null, "overall": 5.0}', "non-empty strings"),
+        (good + " x", "Extra data"),
+        ("[" * 100_000, "invalid JSON"),
+    ):
+        path.write_text(f"{good}\n{bad}\n")
+        with pytest.raises(ParseError, match=match) as exc:
+            load_amazon_reviews(path)
+        assert (exc.value.path, exc.value.lineno) == (path, 2)
+        assert "reviews.json:2:" in str(exc.value)
 
 
-def test_raw_interaction_rejects_empty_keys():
-    with pytest.raises(ValueError):
-        RawInteraction("", "i", 1.0)
+def test_raw_loaders_reject_empty_keys(tmp_path):
+    ml, amazon = tmp_path / "ratings.dat", tmp_path / "reviews.json"
+    ml.write_text("::i::1::0\n")
+    amazon.write_text('{"reviewerID": "u", "asin": "", "overall": 1.0}\n')
+    for load, path in ((load_movielens, ml), (load_amazon_reviews, amazon)):
+        with pytest.raises(ValueError):
+            load(path)
 
 
 def test_binarize_collapses_duplicates():
-    raw = [RawInteraction("u", "i", 5.0), RawInteraction("u", "i", 3.0)]
+    raw = [("u", "i"), ("u", "i")]
     _, table = binarize_and_index(raw)
     assert len(table) == 1
 
 
 def test_binarize_counts():
     raw = [
-        RawInteraction("u1", "a", 1.0),
-        RawInteraction("u1", "b", 1.0),
-        RawInteraction("u2", "a", 1.0),
-        RawInteraction("u3", "b", 1.0),
+        ("u1", "a"),
+        ("u1", "b"),
+        ("u2", "a"),
+        ("u3", "b"),
     ]
     idmap, table = binarize_and_index(raw)
     assert (table.M, table.N, len(table)) == (3, 2, 4)
@@ -97,21 +125,18 @@ def test_binarize_bound_property():
     rng = np.random.default_rng(0)
     for _ in range(20):
         n = int(rng.integers(1, 30))
-        raw = [
-            RawInteraction(f"u{rng.integers(0, 5)}", f"i{rng.integers(0, 5)}", 1.0)
-            for _ in range(n)
-        ]
+        raw = [(f"u{rng.integers(0, 5)}", f"i{rng.integers(0, 5)}") for _ in range(n)]
         _, table = binarize_and_index(raw)
         assert len(table) <= len(raw)
-        if len({(r.user_key, r.item_key) for r in raw}) == len(raw):
+        if len(set(raw)) == len(raw):
             assert len(table) == len(raw)
 
 
 
 def reference_binarize(raw):
     user_index, item_index = {}, {}
-    pairs = [(user_index.setdefault(r.user_key, len(user_index)),
-              item_index.setdefault(r.item_key, len(item_index))) for r in raw]
+    pairs = [(user_index.setdefault(u, len(user_index)),
+              item_index.setdefault(i, len(item_index))) for u, i in raw]
     idmap = IdMap(list(user_index), list(item_index))
     return idmap, InteractionTable(idmap.M, idmap.N, pairs)
 
@@ -119,7 +144,7 @@ def reference_binarize(raw):
 def test_binarize_equals_tuple_list_reference():
     rng = np.random.default_rng(3)
     for n in [0, 1, 2] + [int(x) for x in rng.integers(3, 200, 30)]:
-        raw = [RawInteraction(f"u{rng.integers(0, 12)}", f"i{rng.integers(0, 9)}", 1.0) for _ in range(n)]
+        raw = [(f"u{rng.integers(0, 12)}", f"i{rng.integers(0, 9)}") for _ in range(n)]
         idmap, table = binarize_and_index(raw)
         ref_map, ref = reference_binarize(raw)
         assert (idmap.user_keys, idmap.item_keys) == (ref_map.user_keys, ref_map.item_keys)
@@ -133,8 +158,81 @@ def test_load_amazon_shares_repeated_keys(tmp_path):
     rows = [("A1", "B0"), ("A2", "B0"), ("A1", "B1")]
     path.write_text("".join(json.dumps({"reviewerID": u, "asin": i, "overall": 5.0}) + "\n" for u, i in rows))
     raw = load_amazon_reviews(path)
-    assert [(r.user_key, r.item_key) for r in raw] == rows
-    assert raw[0].user_key is raw[2].user_key and raw[0].item_key is raw[1].item_key
+    assert raw == rows
+    assert raw[0][0] is raw[2][0] and raw[0][1] is raw[1][1]
+
+
+def reference_load_amazon(path):
+    """json.loads per stripped line: the plain loader load_amazon_reviews must agree with."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+                user, item = obj["reviewerID"], obj["asin"]
+                float(obj["overall"])
+            except (ValueError, KeyError, TypeError, OverflowError):
+                raise ParseError(path, lineno, "rejected") from None
+            if not (isinstance(user, str) and isinstance(item, str) and user and item):
+                raise ParseError(path, lineno, "bad key")
+            rows.append((user, item))
+    return rows
+
+
+def fuzz_review_line(rng) -> str:
+    """One review line, usually valid; sometimes broken in a way a loader must reject."""
+    obj = {"reviewerID": f"A{rng.integers(0, 5)}", "asin": f"B{rng.integers(0, 5)}",
+           "overall": [5.0, 1, "4", 2.5, float("nan")][rng.integers(0, 5)]}
+    if rng.random() < 0.5:  # extra fields
+        obj.update(reviewText="ok \u00e9 \\ \"q\"", helpful=[0, 1], meta={"x": None})
+    if rng.random() < 0.2:  # a non-ASCII key, which ensure_ascii writes as a \uXXXX escape
+        obj["asin"] = "B\u00e9\u4e2d"
+    if rng.random() < 0.05:
+        obj[["reviewerID", "asin"][rng.integers(0, 2)]] = ["", 7, [1], None][rng.integers(0, 4)]
+    if rng.random() < 0.05:
+        obj["overall"] = [None, "five", True, {}][rng.integers(0, 4)]
+    if rng.random() < 0.03:
+        del obj[["reviewerID", "asin", "overall"][rng.integers(0, 3)]]
+    keys = list(obj)
+    keys = [keys[k] for k in rng.permutation(len(keys))]  # reordered keys
+    seps = [(", ", ": "), (",", ":"), (" ,\t", " : ")][rng.integers(0, 3)]
+    line = json.dumps({k: obj[k] for k in keys}, separators=seps, ensure_ascii=bool(rng.integers(0, 2)))
+    line = line.replace('"B0"', '"\\u0042\\u0030"')  # an escaped spelling of a plain key
+    roll = rng.random()
+    if roll < 0.03:
+        line = line[: rng.integers(1, len(line))]  # truncated object
+    elif roll < 0.06:
+        line += [" x", " {}", "}", ","][rng.integers(0, 4)]  # trailing "Extra data"
+    elif roll < 0.08:
+        line = ["[1, 2]", '"hello"', "5", "null", "{}"][rng.integers(0, 5)]
+    pad = ["", " ", "\t", "\x0b", "\xa0", "\u3000"]
+    return pad[rng.integers(0, 6)] + line + pad[rng.integers(0, 6)]
+
+
+def test_load_amazon_equals_json_loads_reference(tmp_path):
+    rng = np.random.default_rng(12)
+    path = tmp_path / "reviews.json"
+    outcomes = {"rows": 0, "error": 0}
+    for _ in range(400):
+        lines = [fuzz_review_line(rng) if rng.random() < 0.85 else ["", "  ", "\t"][rng.integers(0, 3)]
+                 for _ in range(rng.integers(0, 12))]
+        text = "".join(line + ["\n", "\r\n"][rng.integers(0, 2)] for line in lines)
+        if rng.random() < 0.1:
+            text = "\ufeff" + text  # a leading BOM, which json.loads rejects
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        results = []
+        for load in (reference_load_amazon, load_amazon_reviews):
+            try:
+                results.append(("rows", load(path)))
+            except ParseError as exc:
+                results.append(("error", exc.lineno))
+        assert results[0] == results[1], text
+        outcomes[results[0][0]] += 1
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 def test_kcore_hand_example():

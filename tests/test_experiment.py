@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from dataclasses import replace
@@ -29,6 +30,24 @@ def write_movielens_raw(tmp_path, n_users=10, n_items=8, density=0.6):
             if rng.random() < density:
                 lines.append(f"{u}::{i}::{int(rng.integers(1, 6))}::{100 + u}")
     path = tmp_path / "ratings.dat"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def write_amazon_raw(tmp_path, n_users=120, n_items=60, n_reviews=900):
+    """Seeded Amazon-format reviews: popularity-skewed items, repeated pairs, extra fields, mixed key order."""
+    rng = np.random.default_rng(2)
+    weights = 1.0 / np.arange(1, n_items + 1)
+    users = rng.integers(0, n_users, n_reviews)
+    items = rng.choice(n_items, n_reviews, p=weights / weights.sum())
+    lines = []
+    for u, i, r in zip(users.tolist(), items.tolist(), rng.integers(1, 6, n_reviews).tolist()):
+        if u % 2:
+            lines.append(json.dumps({"asin": f"B{i:04d}", "overall": float(r), "reviewerID": f"A{u:03d}"}))
+        else:
+            lines.append(json.dumps({"reviewerID": f"A{u:03d}", "asin": f"B{i:04d}", "overall": r,
+                                     "reviewText": "ok", "helpful": [0, u % 3]}))
+    path = tmp_path / "reviews.json"
     path.write_text("\n".join(lines) + "\n")
     return str(path)
 
@@ -165,6 +184,24 @@ def test_prepare_caching_byte_identical(tmp_path):
     }
     assert before == after
     assert ds1.train == ds2.train
+
+
+def test_prepare_amazon_split_files_pinned(tmp_path):
+    # digests of the split files the RawInteraction-row loader wrote: pins
+    # first-appearance indexing, the k-core and the split across loader rewrites
+    spec = ExperimentSpec(output_dir=str(tmp_path / "out"), dataset="amazon",
+                          raw_path=write_amazon_raw(tmp_path), kcore=5, split_seed=4,
+                          cache_dir=str(tmp_path / "cache"), repeat_count=1)
+    ds = experiment.prepare(spec)
+    (cache_key,) = os.listdir(tmp_path / "cache")
+    digests = {name: hashlib.sha256((tmp_path / "cache" / cache_key / f"{name}.txt").read_bytes()).hexdigest()
+               for name in ("train", "valid", "test")}
+    assert (ds.train.M, ds.train.N, len(ds.train), len(ds.validation), len(ds.test)) == (87, 40, 435, 54, 54)
+    assert digests == {
+        "train": "067e4d93ae329d78f5947e9a0ee89534601136f0378af043cd156c80a8ae82b6",
+        "valid": "5103a5c31a9b76056512b887af80caa1e2ee57f76a1986f273fd1aae77ada8ca",
+        "test": "b9f1e7b2dafc9d623e31fe8be7be88207dd0733ee2c2a799f202cc34c416179a",
+    }
 
 
 def test_prepare_recovers_from_interrupted_write(tmp_path, monkeypatch):
