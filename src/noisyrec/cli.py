@@ -9,7 +9,7 @@ import sys
 
 from noisyrec import baselines, corpus, experiment
 from noisyrec.evaluation import evaluate, mf_scorer
-from noisyrec.model import load_checkpoint, save_checkpoint
+from noisyrec.model import load_checkpoint
 from noisyrec.trainer import TrainConfig
 
 
@@ -26,6 +26,15 @@ def load_config_file(path) -> dict:
             key, val = (s.strip() for s in line.split("=", 1))
             values[key] = val
     return values
+
+
+def add_dataset_flags(p: argparse.ArgumentParser):
+    p.add_argument("--dataset", default="split", choices=["movielens", "amazon", "split"])
+    p.add_argument("--raw", default=None)
+    p.add_argument("--split-dir", default=None, dest="split_dir")
+    p.add_argument("--kcore", type=int, default=1)
+    p.add_argument("--split-seed", type=int, default=0, dest="split_seed")
+    p.add_argument("--out", required=True)
 
 
 def add_train_flags(p: argparse.ArgumentParser):
@@ -71,12 +80,9 @@ def resolve_train_options(args) -> dict:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
             merged[key] = _CONFIG_KEYS[key](raw)
-    for key in ("optimizer", "eta", "lambda_theta", "lambda_phi", "rho", "batch_size",
-                "k", "l", "epochs", "seed", "repeats"):
-        if getattr(args, key) is not None:
-            merged[key] = getattr(args, key)
-    if args.balance_positives:
-        merged["balance_positives"] = True
+    for key in _CONFIG_KEYS:  # a flag left out is None; exclude_train has only the inverted flag below
+        if vars(args).get(key) is not None:
+            merged[key] = vars(args)[key]
     if args.no_exclude_train:
         merged["exclude_train"] = False
     return merged
@@ -110,17 +116,9 @@ def build_spec(args, opts: dict) -> experiment.ExperimentSpec:
 
 
 def cmd_prep(args):
-    loader = corpus.load_movielens if args.dataset == "movielens" else corpus.load_amazon_reviews
-    raw = loader(args.raw)
-    _, table = corpus.binarize_and_index(raw)
-    print(f"loaded {len(raw)} interactions: {table.M} users x {table.N} items, "
-          f"{len(table)} positives, sparsity {table.sparsity:.4%}")
-    if args.kcore > 1:
-        table = corpus.kcore_filter(table, args.kcore)
-        print(f"{args.kcore}-core: {table.M} users x {table.N} items, {len(table)} positives")
-    dataset = corpus.split(table, seed=args.split_seed)
+    dataset = experiment.build_split(args.dataset, args.raw, args.kcore, args.split_seed)
     corpus.save_split(dataset, args.out)
-    print(f"split written to {args.out} "
+    print(f"split written to {args.out}: {dataset.train.M} users x {dataset.train.N} items "
           f"(train {len(dataset.train)}, valid {len(dataset.validation)}, test {len(dataset.test)})")
 
 
@@ -153,6 +151,10 @@ def cmd_eval(args):
         scorer = baselines.itemknn_scorer(model, dataset.train)
     else:
         theta, _ = load_checkpoint(args.checkpoint)
+        shape, split_shape = (len(theta.U), len(theta.V)), (dataset.train.M, dataset.train.N)
+        if shape != split_shape:
+            raise ValueError(f"checkpoint {args.checkpoint} is {shape[0]}x{shape[1]} (users x items), "
+                             f"but the split in {args.split_dir} is {split_shape[0]}x{split_shape[1]}")
         scorer = mf_scorer(theta)
     report = evaluate(scorer, heldout, dataset.train,
                       exclude_train=not args.no_exclude_train)
@@ -189,22 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prep)
 
     p = sub.add_parser("train", help="train an optimizer and report test metrics")
-    p.add_argument("--dataset", default="split", choices=["movielens", "amazon", "split"])
-    p.add_argument("--raw", default=None)
-    p.add_argument("--split-dir", default=None, dest="split_dir")
-    p.add_argument("--kcore", type=int, default=1)
-    p.add_argument("--split-seed", type=int, default=0, dest="split_seed")
-    p.add_argument("--out", required=True)
+    add_dataset_flags(p)
     add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("grid", help="staged hyperparameter grid search")
-    p.add_argument("--dataset", default="split", choices=["movielens", "amazon", "split"])
-    p.add_argument("--raw", default=None)
-    p.add_argument("--split-dir", default=None, dest="split_dir")
-    p.add_argument("--kcore", type=int, default=1)
-    p.add_argument("--split-seed", type=int, default=0, dest="split_seed")
-    p.add_argument("--out", required=True)
+    add_dataset_flags(p)
     p.add_argument("--stage", default=None,
                    help="comma-separated subset of: coarse,fine,lambda_split,rho,batch,K,L")
     add_train_flags(p)

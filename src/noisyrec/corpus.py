@@ -9,7 +9,7 @@ import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,28 +21,6 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{lineno}: {message}")
         self.path = path
         self.lineno = lineno
-
-
-class IdMap:
-    """Bijection between opaque user/item keys and dense contiguous indices."""
-
-    def __init__(self, user_keys: Sequence[str], item_keys: Sequence[str]):
-        self.user_keys = list(user_keys)
-        self.item_keys = list(item_keys)
-        self.user_index = {k: idx for idx, k in enumerate(self.user_keys)}
-        self.item_index = {k: idx for idx, k in enumerate(self.item_keys)}
-        if len(self.user_index) != len(self.user_keys):
-            raise ValueError("duplicate user keys")
-        if len(self.item_index) != len(self.item_keys):
-            raise ValueError("duplicate item keys")
-
-    @property
-    def M(self) -> int:
-        return len(self.user_keys)
-
-    @property
-    def N(self) -> int:
-        return len(self.item_keys)
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -213,22 +191,23 @@ def _review_error(line: str) -> str:
 
 
 def binarize_and_index(raw: Sequence[tuple[str, str]]):
-    """Collapse (user_key, item_key) rows to binary positives; indices in first-appearance order."""
+    """Collapse (user_key, item_key) rows to binary positives; indices in first-appearance order.
+
+    Returns ((user_keys, item_keys), table): the key lists give each index its key.
+    """
     user_index, item_index = {}, {}  # dicts keep first-insertion order
     users = np.fromiter((user_index.setdefault(u, len(user_index)) for u, _ in raw),
                         dtype=np.int64, count=len(raw))
     items = np.fromiter((item_index.setdefault(i, len(item_index)) for _, i in raw),
                         dtype=np.int64, count=len(raw))
-    idmap = IdMap(list(user_index), list(item_index))
-    table = InteractionTable(idmap.M, idmap.N, np.column_stack((users, items)))
-    return idmap, table
+    table = InteractionTable(len(user_index), len(item_index), np.column_stack((users, items)))
+    return (list(user_index), list(item_index)), table
 
 
-def kcore_filter(table: InteractionTable, k: int, idmap: Optional[IdMap] = None):
+def kcore_filter(table: InteractionTable, k: int) -> InteractionTable:
     """Iteratively drop users/items with degree < k until a fixed point.
 
     Surviving users/items are reindexed densely, preserving relative order.
-    Returns the filtered table, or (table, idmap) when an IdMap is passed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -241,13 +220,7 @@ def kcore_filter(table: InteractionTable, k: int, idmap: Optional[IdMap] = None)
         pairs = pairs[keep]
     keep_u, new_u = np.unique(pairs[:, 0], return_inverse=True)
     keep_i, new_i = np.unique(pairs[:, 1], return_inverse=True)
-    filtered = InteractionTable(len(keep_u), len(keep_i), np.column_stack((new_u, new_i)))
-    if idmap is None:
-        return filtered
-    new_map = IdMap(
-        [idmap.user_keys[u] for u in keep_u], [idmap.item_keys[i] for i in keep_i]
-    )
-    return filtered, new_map
+    return InteractionTable(len(keep_u), len(keep_i), np.column_stack((new_u, new_i)))
 
 
 def split(table: InteractionTable, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitDataset:

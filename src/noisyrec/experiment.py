@@ -61,8 +61,17 @@ def _content_hash(spec: ExperimentSpec) -> str:
     return h.hexdigest()[:16]
 
 
+def build_split(dataset: str, raw_path, kcore: int, split_seed: int) -> corpus.SplitDataset:
+    """Load a "movielens" or "amazon" raw file, binarize, k-core filter (kcore > 1) and split; uncached."""
+    loader = corpus.load_movielens if dataset == "movielens" else corpus.load_amazon_reviews
+    _, table = corpus.binarize_and_index(loader(raw_path))
+    if kcore > 1:
+        table = corpus.kcore_filter(table, kcore)
+    return corpus.split(table, seed=split_seed)
+
+
 def prepare(spec: ExperimentSpec) -> corpus.SplitDataset:
-    """Load, binarize, k-core filter and split; cached by content hash."""
+    """build_split for the spec's raw file, cached by content hash; or the spec's split files."""
     spec.validate()
     if spec.dataset == "split":
         return corpus.load_split(spec.split_dir)
@@ -71,12 +80,7 @@ def prepare(spec: ExperimentSpec) -> corpus.SplitDataset:
     cached = os.path.join(cache_dir, key)
     if os.path.isdir(cached):
         return corpus.load_split(cached)
-    loader = corpus.load_movielens if spec.dataset == "movielens" else corpus.load_amazon_reviews
-    raw = loader(spec.raw_path)
-    _, table = corpus.binarize_and_index(raw)
-    if spec.kcore > 1:
-        table = corpus.kcore_filter(table, spec.kcore)
-    dataset = corpus.split(table, seed=spec.split_seed)
+    dataset = build_split(spec.dataset, spec.raw_path, spec.kcore, spec.split_seed)
     # write beside the entry and rename it into place: no interrupted write is ever trusted
     os.makedirs(cache_dir, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=f".{key}-", dir=cache_dir)

@@ -25,7 +25,7 @@ class PreferenceParams:
 
 @dataclass
 class NoiseParams:
-    """Low-rank flip-logit model: noise_logit(u, i) = P[u] . Q[i]; L=0 means 0."""
+    """Low-rank flip-logit model: g(u, i) = P[u] . Q[i]; L=0 means 0."""
 
     P: np.ndarray  # M x L
     Q: np.ndarray  # N x L
@@ -65,20 +65,6 @@ def init_params(M: int, N: int, K: int, L: int, spec: InitSpec):
         Q=rng.normal(0.0, spec.scale, size=(N, L)),
     )
     return theta, phi
-
-
-def score(params: PreferenceParams, u: int, i: int) -> float:
-    if not (0 <= u < params.U.shape[0] and 0 <= i < params.V.shape[0]):
-        raise IndexError(f"({u}, {i}) out of range")
-    return float(params.U[u] @ params.V[i])
-
-
-def noise_logit(params: NoiseParams, u: int, i: int) -> float:
-    if not (0 <= u < params.P.shape[0] and 0 <= i < params.Q.shape[0]):
-        raise IndexError(f"({u}, {i}) out of range")
-    if params.L == 0:
-        return 0.0
-    return float(params.P[u] @ params.Q[i])
 
 
 def topk_from_scores(scores: np.ndarray, k: int, excluded: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -63,16 +63,18 @@ class TrainConfig:
 
 @dataclass
 class Batch:
-    """Positives plus rho freshly sampled negatives per positive (grouped)."""
+    """Positives plus rho freshly sampled negatives per positive (grouped).
+
+    The user of negative neg_j[t] is pos_u[t // rho].
+    """
 
     pos_u: np.ndarray
     pos_i: np.ndarray
-    neg_u: np.ndarray  # pos_u repeated rho times
     neg_j: np.ndarray
 
     @property
     def rho(self) -> int:
-        return len(self.neg_u) // max(len(self.pos_u), 1)
+        return len(self.neg_j) // max(len(self.pos_u), 1)
 
 
 @dataclass
@@ -243,11 +245,11 @@ def point_step(theta: PreferenceParams, phi: Optional[NoiseParams], batch: Batch
 
     Returns the unregularized objective of the batch at the pre-step parameters.
     """
-    n = len(batch.pos_u)
+    n, rho = len(batch.pos_u), batch.rho
     has_phi = phi is not None and phi.L > 0
     # rows of the positive group, then of the negative group: this is the
     # scatter's summation order
-    users = np.concatenate([batch.pos_u, batch.neg_u])
+    users = np.concatenate([batch.pos_u, np.repeat(batch.pos_u, rho)])
     items = np.concatenate([batch.pos_i, batch.neg_j])
     block = _gather((theta.U, users), (theta.V, items))
     Ub, Vb = block[: len(users)], block[len(users) :]
@@ -262,9 +264,9 @@ def point_step(theta: PreferenceParams, phi: Optional[NoiseParams], batch: Batch
         config.optimizer, r[:n], g[:n], r[n:], g[n:]
     )
     if config.balance_positives:
-        ct_pos = ct_pos * config.rho
+        ct_pos = ct_pos * rho
         if cp_pos is not None:
-            cp_pos = cp_pos * config.rho
+            cp_pos = cp_pos * rho
 
     touched_u = sorted_unique(users)
     touched_i = sorted_unique(items)
@@ -287,11 +289,12 @@ def point_step(theta: PreferenceParams, phi: Optional[NoiseParams], batch: Batch
 def pairwise_step(theta: PreferenceParams, batch: Batch, config: TrainConfig) -> float:
     """One BPR-style step: ascend ln sigma(r_ui - r_uj) per (positive, negative) pair.
 
-    The pairs are (neg_u, repeat(pos_i, rho), neg_j); neg_u is pos_u repeated rho times.
+    The pairs are (repeat(pos_u, rho), repeat(pos_i, rho), neg_j).
     Returns the batch objective, the sum of ln sigma(r_ui - r_uj), at the pre-step parameters.
     """
-    n, m, rho = len(batch.pos_u), len(batch.neg_u), batch.rho
-    users = batch.neg_u  # the user of every pair
+    n, rho = len(batch.pos_u), batch.rho
+    users = np.repeat(batch.pos_u, rho)  # the user of every pair
+    m = len(users)
     items = np.concatenate([np.repeat(batch.pos_i, rho), batch.neg_j])
     block = _gather((theta.V, batch.pos_i), (theta.U, users), (theta.V, batch.neg_j))
     Vp, Ub, Vn = block[:n], block[n : n + m], block[n + m :]
@@ -372,13 +375,7 @@ def _divergence(theta: PreferenceParams, phi: NoiseParams, objective: float) -> 
     return None
 
 
-def train(
-    dataset: SplitDataset,
-    config: TrainConfig,
-    evaluator: Optional[Callable] = None,
-    eval_ks=(2, 5, 10, 20),
-    exclude_train: bool = True,
-) -> TrainHistory:
+def train(dataset: SplitDataset, config: TrainConfig, exclude_train: bool = True) -> TrainHistory:
     """Run SGD for max_epochs, evaluating on validation after each epoch.
 
     Each epoch shuffles the train positives, cuts them into batches, attaches
@@ -388,7 +385,7 @@ def train(
     stops training with a warning and sets ``diverged_at``; the snapshots of
     the epochs before it are kept.
     """
-    from noisyrec.evaluation import evaluate, mf_scorer
+    from noisyrec.evaluation import evaluate, mf_scorer  # at call time: the module attribute may be wrapped
 
     train_table = dataset.train
     if len(train_table) == 0:
@@ -402,13 +399,6 @@ def train(
 
     popularity = train_table.item_degrees().astype(float) if config.optimizer == Optimizer.WBPR else None
     sampler = _BatchSampler(train_table, popularity)
-
-    if evaluator is None:
-        def evaluator(th):
-            return evaluate(
-                mf_scorer(th), dataset.validation, train_table,
-                ks=eval_ks, exclude_train=exclude_train,
-            )
 
     positives = train_table.pairs
     history = TrainHistory(config=config)
@@ -424,7 +414,7 @@ def train(
             pos_u = chunk[:, 0]
             pos_i = chunk[:, 1]
             neg_j = sampler.sample(pos_u, config.rho, rng)
-            batch = Batch(pos_u, pos_i, np.repeat(pos_u, config.rho), neg_j)
+            batch = Batch(pos_u, pos_i, neg_j)
             if config.optimizer in PAIRWISE:
                 objective += pairwise_step(theta, batch, config)
             else:
@@ -438,7 +428,7 @@ def train(
                 RuntimeWarning, stacklevel=2,
             )
             break
-        report = evaluator(theta)
+        report = evaluate(mf_scorer(theta), dataset.validation, train_table, exclude_train=exclude_train)
         history.epochs.append(EpochRecord(epoch=epoch, objective=objective, report=report))
         if report.f1[2] > best_f1:
             best_f1 = report.f1[2]

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from noisyrec.corpus import (
-    IdMap,
     InteractionTable,
     ParseError,
     SplitDataset,
@@ -114,11 +113,11 @@ def test_binarize_counts():
         ("u2", "a"),
         ("u3", "b"),
     ]
-    idmap, table = binarize_and_index(raw)
+    (user_keys, item_keys), table = binarize_and_index(raw)
     assert (table.M, table.N, len(table)) == (3, 2, 4)
     # first-appearance order
-    assert idmap.user_keys == ["u1", "u2", "u3"]
-    assert idmap.item_keys == ["a", "b"]
+    assert user_keys == ["u1", "u2", "u3"]
+    assert item_keys == ["a", "b"]
 
 
 def test_binarize_bound_property():
@@ -137,17 +136,16 @@ def reference_binarize(raw):
     user_index, item_index = {}, {}
     pairs = [(user_index.setdefault(u, len(user_index)),
               item_index.setdefault(i, len(item_index))) for u, i in raw]
-    idmap = IdMap(list(user_index), list(item_index))
-    return idmap, InteractionTable(idmap.M, idmap.N, pairs)
+    return (list(user_index), list(item_index)), InteractionTable(len(user_index), len(item_index), pairs)
 
 
 def test_binarize_equals_tuple_list_reference():
     rng = np.random.default_rng(3)
     for n in [0, 1, 2] + [int(x) for x in rng.integers(3, 200, 30)]:
         raw = [(f"u{rng.integers(0, 12)}", f"i{rng.integers(0, 9)}") for _ in range(n)]
-        idmap, table = binarize_and_index(raw)
-        ref_map, ref = reference_binarize(raw)
-        assert (idmap.user_keys, idmap.item_keys) == (ref_map.user_keys, ref_map.item_keys)
+        keys, table = binarize_and_index(raw)
+        ref_keys, ref = reference_binarize(raw)
+        assert keys == ref_keys
         assert (table.M, table.N) == (ref.M, ref.N)
         for got, want in ((table.codes, ref.codes), (table.indptr, ref.indptr), (table.indices, ref.indices)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -282,17 +280,6 @@ def test_kcore_min_degree_and_idempotence():
             assert out.item_degrees().min() >= k
         again = kcore_filter(out, k)
         assert again == out
-
-
-def test_kcore_reindexes_idmap():
-    from noisyrec.corpus import IdMap
-
-    table = InteractionTable(3, 3, [(0, 0), (0, 1), (1, 0), (2, 0), (2, 1), (2, 2)])
-    idmap = IdMap(["x", "y", "z"], ["a", "b", "c"])
-    out, new_map = kcore_filter(table, 2, idmap)
-    assert new_map.user_keys == ["x", "z"]
-    assert new_map.item_keys == ["a", "b"]
-    assert out.M == new_map.M and out.N == new_map.N
 
 
 def test_split_proportions():

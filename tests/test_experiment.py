@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from noisyrec import cli, corpus, experiment
 from noisyrec.corpus import InteractionTable, save_split, split
 from noisyrec.experiment import ExperimentSpec, GridSpec, fine_values, grid_search, run
+from noisyrec.model import InitSpec, init_params, save_checkpoint
 from noisyrec.trainer import TrainConfig
 
 
@@ -227,6 +230,22 @@ def test_prepare_recovers_from_interrupted_write(tmp_path, monkeypatch):
     assert sorted(os.listdir(cache_root / cache_key)) == ["test.txt", "train.txt", "valid.txt"]
 
 
+@pytest.mark.parametrize("kind, write_raw, kcore, split_seed", [
+    ("movielens", write_movielens_raw, 2, 3),
+    ("amazon", write_amazon_raw, 5, 4),
+])
+def test_cli_prep_matches_prepare(tmp_path, kind, write_raw, kcore, split_seed):
+    raw = write_raw(tmp_path)
+    out = tmp_path / "prep"
+    assert cli.main(["prep", "--dataset", kind, "--raw", raw, "--kcore", str(kcore),
+                     "--split-seed", str(split_seed), "--out", str(out)]) == 0
+    experiment.prepare(ExperimentSpec(output_dir=str(tmp_path / "out"), dataset=kind, raw_path=raw,
+                                      kcore=kcore, split_seed=split_seed, cache_dir=str(tmp_path / "cache")))
+    (cache_key,) = os.listdir(tmp_path / "cache")
+    for name in ("train.txt", "valid.txt", "test.txt"):
+        assert (out / name).read_bytes() == (tmp_path / "cache" / cache_key / name).read_bytes(), name
+
+
 def test_fine_values_paper_example():
     assert fine_values(0.01) == [0.002, 0.005, 0.01, 0.02, 0.05]
     assert fine_values(0.1) == [0.02, 0.05, 0.1, 0.2, 0.5]
@@ -378,6 +397,38 @@ def test_cli_eval_rejects_bad_method_arguments(tmp_path, capsys):
         cli.main(["eval", "--split-dir", split_dir, "--method", "itempop"])
     assert exc.value.code == 2
     assert "ITEMPOP" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("split_shape, checkpoint_shape, warm_users", [
+    ((30, 8), (1, 8), 30),  # held-out users past the checkpoint's rows
+    ((6, 5), (6, 7), 6),  # score rows longer than the split's items
+    # users 3-5 hold one positive each, so every held-out user has a checkpoint row
+    ((6, 8), (3, 8), 3),
+], ids=["one-user", "seven-items", "three-users"])
+def test_cli_eval_rejects_checkpoint_of_another_shape(tmp_path, capsys, split_shape, checkpoint_shape, warm_users):
+    M, N = split_shape
+    mask = np.random.default_rng(4).random((M, N)) < 0.6
+    mask[warm_users:] = np.arange(N) == 0
+    save_split(split(InteractionTable(M, N, list(zip(*np.nonzero(mask)))), seed=0), tmp_path / "split")
+    path = str(tmp_path / "model.txt")
+    save_checkpoint(path, *init_params(*checkpoint_shape, 2, 0, InitSpec(seed=1)))
+    assert cli.main(["eval", "--split-dir", str(tmp_path / "split"), "--method", "checkpoint",
+                     "--checkpoint", path]) == 2
+    err = capsys.readouterr().err
+    assert path in err
+    assert "{}x{}".format(*checkpoint_shape) in err and f"{M}x{N}" in err
+
+
+def test_readme_cli_commands_parse():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = re.search(r"## CLI\n+```sh\n(.*?)```", readme, re.S).group(1)
+    commands = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("noisyrec ")]
+    assert len(commands) >= 5
+    parser = cli.build_parser()
+    for command in commands:
+        argv = shlex.split(command)[1:]
+        assert parser.parse_args(argv).command == argv[0], command
 
 
 def test_cli_config_file_and_flag_override(tmp_path):

@@ -8,10 +8,8 @@ from noisyrec.model import (
     PreferenceParams,
     init_params,
     load_checkpoint,
-    noise_logit,
     rank_topk,
     save_checkpoint,
-    score,
 )
 
 
@@ -43,40 +41,6 @@ def test_init_rejects_bad_args():
         init_params(0, 1, 1, 0, InitSpec(seed=0))
     with pytest.raises(ValueError):
         InitSpec(seed=0, scale=0.0)
-
-
-def test_score_examples():
-    theta = PreferenceParams(U=np.array([[1.0, 2.0]]), V=np.array([[3.0, 4.0], [0.0, 0.0], [0.0, 1.0]]))
-    assert score(theta, 0, 0) == 11.0
-    assert score(theta, 0, 1) == 0.0
-    theta2 = PreferenceParams(U=np.array([[1.0, 0.0]]), V=np.array([[0.0, 1.0]]))
-    assert score(theta2, 0, 0) == 0.0
-
-
-def test_score_out_of_range():
-    theta = PreferenceParams(U=np.zeros((2, 2)), V=np.zeros((2, 2)))
-    with pytest.raises(IndexError):
-        score(theta, 2, 0)
-    with pytest.raises(IndexError):
-        score(theta, -1, 0)
-
-
-def test_noise_logit():
-    phi = NoiseParams(P=np.array([[0.5], [1.0]]), Q=np.array([[2.0]]))
-    assert noise_logit(phi, 0, 0) == 1.0
-    phi2 = NoiseParams(P=np.array([[1.0, -1.0]]), Q=np.array([[1.0, 1.0]]))
-    assert noise_logit(phi2, 0, 0) == 0.0
-    empty = NoiseParams(P=np.zeros((3, 0)), Q=np.zeros((4, 0)))
-    assert noise_logit(empty, 2, 3) == 0.0
-
-
-def test_dot_products_match_naive_sum():
-    rng = np.random.default_rng(3)
-    theta = PreferenceParams(U=rng.normal(size=(5, 7)), V=rng.normal(size=(6, 7)))
-    for u in range(5):
-        for i in range(6):
-            naive = sum(theta.U[u, k] * theta.V[i, k] for k in range(7))
-            assert abs(score(theta, u, i) - naive) <= 1e-12 * max(1.0, abs(naive))
 
 
 def test_rank_topk_basic():

@@ -108,7 +108,7 @@ def test_bpr_step_hand_example():
     theta = PreferenceParams(U=np.array([[1.0]]), V=np.array([[1.0], [0.0]]))
     batch = Batch(
         pos_u=np.array([0]), pos_i=np.array([0]),
-        neg_u=np.array([0]), neg_j=np.array([1]),
+        neg_j=np.array([1]),
     )
     pairwise_step(theta, batch, config(optimizer=Optimizer.BPR, eta=1.0))
     c = sigmoid(-1.0)  # 0.26894...
@@ -122,7 +122,7 @@ def test_bpo_step_coefficients():
     theta = PreferenceParams(U=np.array([[0.0, 0.0]]), V=np.array([[1.0, 2.0], [3.0, 4.0]]))
     batch = Batch(
         pos_u=np.array([0]), pos_i=np.array([0]),
-        neg_u=np.array([0]), neg_j=np.array([1]),
+        neg_j=np.array([1]),
     )
     cfg = config(optimizer=Optimizer.BPO, eta=1.0, K=2)
     point_step(theta, None, batch, cfg)
@@ -131,14 +131,11 @@ def test_bpo_step_coefficients():
 
 
 def test_bpo_step_saturated_negative():
-    theta = PreferenceParams(U=np.array([[1.0]]), V=np.array([[-30.0]]))
-    batch = Batch(
-        pos_u=np.array([], dtype=int), pos_i=np.array([], dtype=int),
-        neg_u=np.array([0]), neg_j=np.array([0]),
-    )
+    theta = PreferenceParams(U=np.array([[1.0]]), V=np.array([[30.0], [-30.0]]))
+    batch = Batch(pos_u=np.array([0]), pos_i=np.array([0]), neg_j=np.array([1]))
     before = theta.U.copy()
     point_step(theta, None, batch, config(optimizer=Optimizer.BPO, eta=1.0))
-    # score is -30: sigma(score) ~ 0, negative already settled
+    # scores are +30 and -30: sigma(-30) ~ 0, positive and negative already settled
     assert np.allclose(theta.U, before, atol=1e-10)
 
 
@@ -148,7 +145,7 @@ def test_nbpo_ss_step_coefficients():
     U0, V0, P0, Q0 = theta.U.copy(), theta.V.copy(), phi.P.copy(), phi.Q.copy()
     batch = Batch(
         pos_u=np.array([0]), pos_i=np.array([1]),
-        neg_u=np.array([0]), neg_j=np.array([2]),
+        neg_j=np.array([2]),
     )
     eta = 0.1
     cfg = config(optimizer=Optimizer.NBPO_SS, eta=eta, K=2, L=2)
@@ -178,7 +175,7 @@ def test_nbpo_ss_l0_matches_degenerate_closed_form():
         pos_u = rng.integers(0, 5, size=4)
         pos_i = rng.integers(0, 5, size=4)
         neg_j = rng.integers(0, 5, size=4)
-        batch = Batch(pos_u=pos_u, pos_i=pos_i, neg_u=pos_u, neg_j=neg_j)
+        batch = Batch(pos_u=pos_u, pos_i=pos_i, neg_j=neg_j)
         eta = 0.05
         point_step(theta, phi, batch, config(eta=eta, K=3, L=0))
 
@@ -215,7 +212,7 @@ def test_step_touches_only_batch_rows():
         U0, V0, P0, Q0 = theta.U.copy(), theta.V.copy(), phi.P.copy(), phi.Q.copy()
         batch = Batch(
             pos_u=np.array([1, 2]), pos_i=np.array([3, 4]),
-            neg_u=np.array([1, 2]), neg_j=np.array([5, 6]),
+            neg_j=np.array([5, 6]),
         )
         cfg = config(optimizer=optimizer, eta=0.1, K=3, L=2,
                      lambda_theta=0.2, lambda_phi=0.2)
@@ -242,7 +239,7 @@ def test_balance_positives_scales_positive_update():
     U0, V0 = theta1.U.copy(), theta1.V.copy()
     batch = Batch(
         pos_u=np.array([0]), pos_i=np.array([0]),
-        neg_u=np.array([0, 0]), neg_j=np.array([1, 2]),
+        neg_j=np.array([1, 2]),
     )
     eta = 0.1
     cfg1 = config(optimizer=Optimizer.BPO, eta=eta, rho=2, K=2)
@@ -262,7 +259,7 @@ def test_step_objective_matches_scalar_references():
     neg = [(0, 3), (1, 4), (2, 3)]
     batch = Batch(
         pos_u=np.array([0, 1, 2]), pos_i=np.array([0, 1, 2]),
-        neg_u=np.array([0, 1, 2]), neg_j=np.array([3, 4, 3]),
+        neg_j=np.array([3, 4, 3]),
     )
     terms = make_terms(theta, phi, pos, neg)
     references = {
@@ -302,7 +299,7 @@ def test_point_terms_finite_at_saturated_logits():
         theta = PreferenceParams(U=np.array([[1.0]]), V=np.array([[1e3], [-1e3]]))
         batch = Batch(
             pos_u=np.array([0]), pos_i=np.array([pos_i]),
-            neg_u=np.array([0]), neg_j=np.array([neg_j]),
+            neg_j=np.array([neg_j]),
         )
         value = pairwise_step(theta, batch, config(optimizer=Optimizer.BPR, eta=0.1))
         assert np.isfinite(value)
@@ -329,11 +326,12 @@ def reference_dots(A, rows_a, B, rows_b):
 def reference_point_step(theta, phi, batch, config):
     U, V = theta.U, theta.V
     has_phi = phi is not None and phi.L > 0
+    neg_u = np.repeat(batch.pos_u, batch.rho)  # the user of every negative
     r_pos = reference_dots(U, batch.pos_u, V, batch.pos_i)
-    r_neg = reference_dots(U, batch.neg_u, V, batch.neg_j)
+    r_neg = reference_dots(U, neg_u, V, batch.neg_j)
     if has_phi:
         g_pos = reference_dots(phi.P, batch.pos_u, phi.Q, batch.pos_i)
-        g_neg = reference_dots(phi.P, batch.neg_u, phi.Q, batch.neg_j)
+        g_neg = reference_dots(phi.P, neg_u, phi.Q, batch.neg_j)
     else:
         g_pos = np.zeros_like(r_pos)
         g_neg = np.zeros_like(r_neg)
@@ -342,21 +340,21 @@ def reference_point_step(theta, phi, batch, config):
         ct_pos = ct_pos * config.rho
         if cp_pos is not None:
             cp_pos = cp_pos * config.rho
-    touched_u = sorted_unique(np.concatenate([batch.pos_u, batch.neg_u]))
+    touched_u = sorted_unique(np.concatenate([batch.pos_u, neg_u]))
     touched_i = sorted_unique(np.concatenate([batch.pos_i, batch.neg_j]))
     dU_pos = ct_pos[:, None] * V[batch.pos_i]
     dU_neg = ct_neg[:, None] * V[batch.neg_j]
     dV_pos = ct_pos[:, None] * U[batch.pos_u]
-    dV_neg = ct_neg[:, None] * U[batch.neg_u]
+    dV_neg = ct_neg[:, None] * U[neg_u]
     if has_phi and cp_pos is not None:
         dP_pos = cp_pos[:, None] * phi.Q[batch.pos_i]
         dP_neg = cp_neg[:, None] * phi.Q[batch.neg_j]
         dQ_pos = cp_pos[:, None] * phi.P[batch.pos_u]
-        dQ_neg = cp_neg[:, None] * phi.P[batch.neg_u]
-    reference_apply_sparse(U, (batch.pos_u, batch.neg_u), (dU_pos, dU_neg), config.eta, config.lambda_theta, touched_u)
+        dQ_neg = cp_neg[:, None] * phi.P[neg_u]
+    reference_apply_sparse(U, (batch.pos_u, neg_u), (dU_pos, dU_neg), config.eta, config.lambda_theta, touched_u)
     reference_apply_sparse(V, (batch.pos_i, batch.neg_j), (dV_pos, dV_neg), config.eta, config.lambda_theta, touched_i)
     if has_phi and cp_pos is not None:
-        reference_apply_sparse(phi.P, (batch.pos_u, batch.neg_u), (dP_pos, dP_neg), config.eta, config.lambda_phi, touched_u)
+        reference_apply_sparse(phi.P, (batch.pos_u, neg_u), (dP_pos, dP_neg), config.eta, config.lambda_phi, touched_u)
         reference_apply_sparse(phi.Q, (batch.pos_i, batch.neg_j), (dQ_pos, dQ_neg), config.eta, config.lambda_phi, touched_i)
     return value
 
@@ -366,7 +364,7 @@ def reference_pairwise_step(theta, batch, config):
     rho = batch.rho
     pu = np.repeat(batch.pos_u, rho)
     pi = np.repeat(batch.pos_i, rho)
-    x = reference_dots(U, pu, V, pi) - reference_dots(U, batch.neg_u, V, batch.neg_j)
+    x = reference_dots(U, pu, V, pi) - reference_dots(U, pu, V, batch.neg_j)
     c = sigmoid(-x)
     touched_u = sorted_unique(pu)
     touched_i = sorted_unique(np.concatenate([pi, batch.neg_j]))
@@ -391,7 +389,7 @@ def test_steps_bit_identical_to_reference():
         for step in range(4):
             n = int(rng.integers(1, 9))
             pos_u = rng.integers(0, M, n)
-            batch = Batch(pos_u, rng.integers(0, N, n), np.repeat(pos_u, rho), rng.integers(0, N, n * rho))
+            batch = Batch(pos_u, rng.integers(0, N, n), rng.integers(0, N, n * rho))
             seen["repeat_within"] += len(np.unique(batch.neg_j)) < len(batch.neg_j)
             seen["repeat_across"] += bool(np.intersect1d(batch.pos_i, batch.neg_j).size)
             if optimizer in PAIRWISE:
