@@ -65,25 +65,15 @@ def fit_itemknn(train: InteractionTable, S: int = 50) -> ItemKnnModel:
             rows += block[:, lo:hi].T @ block
         rows[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
         # a nonzero count has both degrees nonzero; a zero count stays 0.0 either way
-        np.divide(rows, np.sqrt(np.outer(deg[lo:hi], deg)), out=rows, where=rows > 0)
+        norm = np.outer(deg[lo:hi], deg)
+        np.divide(rows, np.sqrt(norm, out=norm), out=rows, where=rows > 0)
+        del norm  # not held while the block is ranked
         top = topk_from_scores(rows, k, rows <= 0)
         r, c = np.nonzero(top >= 0)
         triples.append((lo + r, top[r, c], rows[r, top[r, c]]))
     i, j, w = (np.concatenate(part) for part in zip(*triples))
     order = np.lexsort((i, j))  # neighbour-major: by j, then ascending i
     return ItemKnnModel(indptr=np.searchsorted(j[order], np.arange(N + 1)), items=i[order], weights=w[order])
-
-
-def knn_score(model: ItemKnnModel, train: InteractionTable, u: int, i: int) -> float:
-    """Sum of similarities between item i and user u's train positives, one lookup at a time."""
-    total = 0.0
-    for j in train.per_user[u]:
-        lo = model.indptr[j]
-        row = model.items[lo : model.indptr[j + 1]]
-        at = np.searchsorted(row, i)
-        if at < len(row) and row[at] == i:
-            total += model.weights[lo + at]
-    return float(total)
 
 
 def itemknn_scorer(model: ItemKnnModel, train: InteractionTable) -> Callable:

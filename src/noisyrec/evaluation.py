@@ -77,14 +77,14 @@ def evaluate(
     f1_sum, ndcg_sum, n_users = np.zeros(len(ks)), np.zeros(len(ks)), 0
     for lo in range(0, heldout.M, rows):
         hi = min(lo + rows, heldout.M)
-        relevant = heldout.dense_rows(lo, hi)
-        users = np.flatnonzero(relevant.any(axis=1))
-        relevant = relevant[users]
+        n_rel = np.diff(heldout.indptr[lo : hi + 1])
+        users = np.flatnonzero(n_rel)
+        relevant, n_rel = heldout.dense_rows(lo, hi)[users], n_rel[users, None]
         scores = np.array([scorer(lo + u) for u in users.tolist()], dtype=float).reshape(relevant.shape)
         excluded = train.dense_rows(lo, hi)[users] if exclude_train else np.zeros(scores.shape, bool)
         top = topk_from_scores(scores, kmax, excluded)
         hit = (top >= 0) & np.take_along_axis(relevant, top, axis=1)
-        n_hits, n_rel = np.cumsum(hit, axis=1)[:, cols], relevant.sum(axis=1)[:, None]
+        n_hits = np.cumsum(hit, axis=1)[:, cols]
         precision, recall = n_hits / (cols + 1), n_hits / n_rel
         f1 = np.divide(2 * precision * recall, precision + recall, out=np.zeros(n_hits.shape), where=n_hits > 0)
         ndcg = np.cumsum(np.where(hit, disc, 0.0), axis=1)[:, cols] / idcg[np.minimum(cols, n_rel - 1)]

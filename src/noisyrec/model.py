@@ -75,20 +75,25 @@ def topk_from_scores(scores: np.ndarray, k: int, excluded: np.ndarray) -> np.nda
     scores rank after every real score.
     """
     cols = None
-    if 0 < k < scores.shape[1]:
+    B, N = scores.shape
+    if 0 < k < N:
         # Preselect: an item can reach the top k only if it is not excluded and scores at least
         # the row's k-th highest real score (any item, when the row has fewer than k). Ties with
         # that score stay in and the window keeps ascending index order, so the stable sort
         # below still breaks ties by index; the columns that only pad a row's window are marked
         # excluded, so they sort after every candidate.
-        key = np.where(excluded, np.nan, -scores)
+        key = np.negative(scores)
+        np.copyto(key, np.nan, where=excluded)
         key.partition(k - 1, axis=1)  # in place; NaN keys go last
         cut = -key[:, k - 1 : k]  # NaN when the row has fewer than k real scores
-        cand = ~excluded & ((scores >= cut) | np.isnan(cut))
-        rows, idx = np.nonzero(cand)  # row-major: each row's candidates in ascending index
-        counts = np.count_nonzero(cand, axis=1)
+        del key
+        cand = scores >= cut  # False for NaN scores and NaN cuts
+        cand[np.isnan(cut[:, 0])] = True
+        cand &= ~excluded
+        rows, idx = np.divmod(np.flatnonzero(cand), N)  # row-major: each row's candidates ascending
+        counts = np.bincount(rows, minlength=B)
         slot = np.arange(len(idx)) - (np.cumsum(counts) - counts)[rows]
-        cols = np.zeros((len(cand), int(counts.max(initial=0))), dtype=np.int64)
+        cols = np.zeros((B, int(counts.max(initial=0))), dtype=np.int64)
         cols[rows, slot] = idx
         scores = np.take_along_axis(scores, cols, axis=1)
         excluded = np.ones(cols.shape, dtype=bool)
@@ -98,7 +103,7 @@ def topk_from_scores(scores: np.ndarray, k: int, excluded: np.ndarray) -> np.nda
     dropped = np.take_along_axis(excluded, order, axis=-1)
     if cols is not None:
         order = np.take_along_axis(cols, order, axis=-1)
-    top = np.full((scores.shape[0], k), -1, dtype=np.int64)
+    top = np.full((B, k), -1, dtype=np.int64)
     top[:, : order.shape[1]] = np.where(dropped, -1, order)
     return top
 
@@ -150,7 +155,7 @@ def load_checkpoint(path):
             if len(tokens) != widths[len(rows)]:
                 raise ParseError(path, lineno, f"expected {widths[len(rows)]} values, got {len(tokens)}")
             try:
-                rows.append(list(map(float, tokens)))
+                rows.append(np.array(tokens, dtype=float))  # parsed as float() parses; no Python floats kept
             except ValueError as exc:
                 raise ParseError(path, lineno, str(exc)) from None
     if len(rows) < len(widths):

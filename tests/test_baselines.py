@@ -7,10 +7,24 @@ from noisyrec.baselines import (
     fit_itempop,
     itemknn_scorer,
     itempop_scorer,
-    knn_score,
 )
 from noisyrec.corpus import InteractionTable
 from noisyrec.model import topk_from_scores
+
+
+def knn_score(model, train, u, i):
+    """Sum of similarities between item i and user u's train positives, one lookup at a time.
+
+    The reference the vectorised itemknn_scorer is checked against.
+    """
+    total = 0.0
+    for j in train.per_user[u]:
+        lo = model.indptr[j]
+        row = model.items[lo : model.indptr[j + 1]]
+        at = np.searchsorted(row, i)
+        if at < len(row) and row[at] == i:
+            total += model.weights[lo + at]
+    return float(total)
 
 
 def ranking(scores, k):

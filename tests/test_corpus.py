@@ -1,12 +1,14 @@
 import hashlib
 import json
 import warnings
+from collections.abc import Set
 
 import numpy as np
 import pytest
 
 from noisyrec.corpus import (
     InteractionTable,
+    PairSet,
     ParseError,
     SplitDataset,
     binarize_and_index,
@@ -373,6 +375,36 @@ def test_table_views_match_brute_force():
         assert np.all(np.diff(table.codes) > 0)
         assert table == InteractionTable(M, N, sorted(want))
         assert table != InteractionTable(M + 1, N, sorted(want))
+
+
+def test_positives_set_view_equals_frozenset(monkeypatch):
+    monkeypatch.setattr(PairSet, "_CHUNK", 3)  # iteration crosses chunk bounds
+    rng = np.random.default_rng(9)
+    for case in range(40):
+        table = random_table(rng, density=rng.uniform(0.0, 1.0))
+        M, N = table.M, table.N
+        pos, want = table.positives, frozenset(map(tuple, table.pairs.tolist()))
+        assert isinstance(pos, Set) and len(pos) == len(want) and bool(pos) == bool(want)
+        assert pos == want and want == pos and not pos != want and not want != pos
+        assert hash(pos) == hash(want)
+        assert list(pos) == sorted(want)
+        assert all(type(u) is int and type(i) is int for u, i in pos)
+        assert all((np.int64(u), np.int32(i)) in pos for u, i in want)
+        other = frozenset(map(tuple, rng.integers(0, max(M, N), size=(int(rng.integers(0, 8)), 2)).tolist()))
+        other |= set(list(want)[: int(rng.integers(0, 4))])
+        for got, ref in [
+            (pos | other, want | other), (other | pos, other | want),
+            (pos & other, want & other), (other & pos, other & want),
+            (pos - other, want - other), (other - pos, other - want),
+        ]:
+            assert type(got) is frozenset and got == ref
+        assert (pos <= other, other <= pos, pos >= other) == (want <= other, other <= want, want >= other)
+        assert pos <= want and want <= pos and pos != other | {(M, N)}
+    table = InteractionTable(2, 3, [(0, 0), (1, 2)])
+    absent = [(2, 0), (0, 3), (-1, 0), (0, -1), (2**70, 0), (1, 1), (0.0, 0), ("0", "0"), (0,), (0, 0, 0), 0, None, "ab"]
+    assert not any(x in table.positives for x in absent)
+    assert (False, 0) in table.positives and (np.int8(1), np.uint64(2)) in table.positives
+    assert InteractionTable(0, 0, []).positives == frozenset() and (0, 0) not in InteractionTable(0, 0, []).positives
 
 
 def test_sorted_unique_matches_np_unique():

@@ -179,28 +179,42 @@ def topk_reference(scores, k, excluded):
 
 def test_topk_kernel_equals_full_sort_reference():
     rng = np.random.default_rng(5)
-    seen = {"tie_at_cut": 0, "all_excluded": 0, "short_row": 0, "k=N-1": 0, "k=N": 0, "k>N": 0, "B=1": 0}
-    for trial in range(1500):
-        B, N = int(rng.choice([1, 2, 4, 9])), int(rng.integers(1, 40))
-        k = int(rng.choice([1, 2, 5, 20, max(N - 1, 1), N, N + 3]))
+    seen = {
+        "tie_at_cut": 0, "all_excluded": 0, "short_row": 0, "k=N-1": 0, "k=N": 0, "k>N": 0, "B=1": 0,
+        "B=0": 0, "N=0": 0, "-0.0_tied_with_0.0": 0, "kth_is_+inf": 0, "kth_is_-inf": 0,
+    }
+    for trial in range(2000):
+        B = int(rng.choice([0, 1, 2, 4, 9], p=[0.05, 0.3, 0.25, 0.2, 0.2]))
+        N = 0 if rng.random() < 0.03 else int(rng.integers(1, 40))
+        k = int(rng.choice([1, 2, 5, 20, max(N - 1, 1), max(N, 1), N + 3]))
         scores = rng.integers(-2, 3, size=(B, N)).astype(float)  # five values: heavy ties
+        scores[(scores == 0) & (rng.random((B, N)) < 0.5)] = -0.0  # equal to 0.0, sign bit set
         for value in (np.nan, np.inf, -np.inf):
             scores[rng.random((B, N)) < rng.choice([0.0, 0.1, 0.4])] = value
         excluded = rng.random((B, N)) < rng.choice([0.0, 0.3, 0.9])
         excluded[rng.random(B) < 0.15] = True
         got, want = topk_from_scores(scores, k, excluded), topk_reference(scores, k, excluded)
-        assert got.dtype == np.int64 and np.array_equal(got, want), (trial, scores, k, excluded)
+        assert got.dtype == np.int64 and got.shape == (B, k) and np.array_equal(got, want), (trial, scores, k, excluded)
         real = ~excluded & ~np.isnan(scores)
-        if k < N:
+        if 0 < k < N:
             kth = -np.sort(np.where(real, -scores, np.inf), axis=1)[:, k - 1 : k]
             above, at_least = (real & (scores > kth)).sum(axis=1), (real & (scores >= kth)).sum(axis=1)
             seen["tie_at_cut"] += bool(np.any((above < k) & (at_least > k)))  # a tie spans rank k
+            seen["kth_is_+inf"] += bool(np.any(kth == np.inf))
+            seen["kth_is_-inf"] += bool(np.any(kth == -np.inf))
+        if N:  # a row that returns both a -0.0 and a 0.0 score, which rank by index alone
+            top = np.take_along_axis(scores, np.maximum(got, 0), axis=1)
+            zero = (got >= 0) & (top == 0)
+            both = (zero & np.signbit(top)).any(axis=1) & (zero & ~np.signbit(top)).any(axis=1)
+            seen["-0.0_tied_with_0.0"] += bool(both.any())
         seen["all_excluded"] += int(excluded.all(axis=1).any())
         seen["short_row"] += int(((~excluded).sum(axis=1) < k).any())
         seen["k=N-1"] += k == N - 1
         seen["k=N"] += k == N
         seen["k>N"] += k > N
         seen["B=1"] += B == 1
+        seen["B=0"] += B == 0
+        seen["N=0"] += N == 0
     assert min(seen.values()) >= 20, seen
 
 
