@@ -307,7 +307,8 @@ def save_split(dataset: SplitDataset, directory):
         path = os.path.join(directory, f"{name}.txt")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"{table.M} {table.N} {dataset.seed}\n")
-            fh.writelines(f"{u}\t{i}\n" for u, i in table.pairs.tolist())
+            users, items = np.divmod(table.codes, table.N)  # not table.pairs: it would stay cached
+            fh.writelines(f"{u}\t{i}\n" for u, i in zip(users.tolist(), items.tolist()))
 
 
 _ROW = re.compile(r"-?[0-9]+\t-?[0-9]+")

@@ -206,7 +206,10 @@ def _eval_cell(args) -> float:
 
 
 def _run_cells(dataset, configs, exclude_train) -> List[float]:
-    workers = int(os.environ.get("NOISYREC_WORKERS", "1"))
+    value = os.environ.get("NOISYREC_WORKERS", "1")
+    workers = int(value) if value.strip().isdecimal() else 0
+    if workers < 1:
+        raise ValueError(f"NOISYREC_WORKERS must be a positive int, got {value!r}")
     args = [(dataset, cfg, exclude_train) for cfg in configs]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -21,12 +21,10 @@ def sigmoid(x):
             return 1.0 / (1.0 + math.exp(-x))
         ex = math.exp(x)
         return ex / (1.0 + ex)
+    # both branches from one exp(-|x|): exp(-x) where x >= 0, exp(x) below (NaN stays NaN)
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     return out if out.ndim else float(out)
 
 
@@ -40,10 +38,8 @@ def log_sigmoid(x):
             return -math.log1p(math.exp(-x))
         return x - math.log1p(math.exp(x))
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = -np.log1p(np.exp(-x[pos]))
-    out[~pos] = x[~pos] - np.log1p(np.exp(x[~pos]))
+    l = np.log1p(np.exp(-np.abs(x)))
+    out = np.where(x >= 0, -l, x - l)
     return out if out.ndim else float(out)
 
 

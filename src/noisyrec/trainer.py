@@ -9,7 +9,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from noisyrec.corpus import InteractionTable, SplitDataset, sorted_unique
+from noisyrec.corpus import InteractionTable, SplitDataset
 from noisyrec.model import InitSpec, NoiseParams, PreferenceParams, init_params
 from noisyrec.objective import (
     RegSpec,
@@ -53,8 +53,14 @@ class TrainConfig:
         self.optimizer = Optimizer(self.optimizer)
         if self.eta <= 0:
             raise ValueError("eta must be positive")
-        if self.rho < 1 or self.batch_size < 1:
-            raise ValueError("rho and batch_size must be >= 1")
+        for name in ("rho", "batch_size", "max_epochs", "K"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("L", "lambda_theta", "lambda_phi"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.patience is not None and self.patience < 0:
+            raise ValueError(f"patience must be >= 0 or None, got {self.patience}")
 
     @property
     def effective_L(self) -> int:
@@ -130,7 +136,8 @@ class _BatchSampler:
             self.pop = p / p.sum()
             # users who voted every item of nonzero popularity draw uniformly
             # (rejection keeps it uniform over their unvoted items)
-            popular_votes = np.bincount(train.pairs[:, 0], p[train.indices] > 0, minlength=train.M)
+            votes = np.concatenate(([0], np.cumsum(p[train.indices] > 0)))
+            popular_votes = np.diff(votes[train.indptr])
             self.flat = popular_votes >= np.count_nonzero(p)
         else:
             self.pop = None
@@ -203,14 +210,21 @@ def _point_terms(optimizer: Optimizer, r_pos, g_pos, r_neg, g_neg):
     raise ValueError(f"{optimizer} is not a point-wise optimizer")
 
 
-def _apply_sparse(mat, rows, grad, eta, lam, touched):
-    """mat[rows] += eta * grad (scattered); touched rows decay by eta * lam.
+def _slots(rows, n):
+    """(touched, slot): the sorted unique rows out of range(n), and each row's index into them."""
+    seen = np.zeros(n, dtype=bool)
+    seen[rows] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[rows]
 
-    `touched` must be sorted unique; rows outside it stay bit-identical. Each
-    entry sums 0 + c1 + c2 + ... in the order of `rows` (np.bincount adds in
-    input order); one bincount per column needs no (rows x K) index array.
+
+def _apply_sparse(mat, slot, grad, eta, lam, touched):
+    """mat[touched[slot]] += eta * grad (scattered); touched rows decay by eta * lam.
+
+    `touched` and `slot` come from _slots; rows outside `touched` stay
+    bit-identical. Each entry sums 0 + c1 + c2 + ... in the order of `slot`
+    (np.bincount adds in input order); one bincount per column needs no
+    (rows x K) index array.
     """
-    slot = np.searchsorted(touched, rows)
     acc = np.empty((len(touched), mat.shape[1]))
     for k in range(mat.shape[1]):
         acc[:, k] = np.bincount(slot, weights=grad[:, k], minlength=len(touched))
@@ -255,7 +269,8 @@ def point_step(theta: PreferenceParams, phi: Optional[NoiseParams], batch: Batch
     Ub, Vb = block[: len(users)], block[len(users) :]
     r = np.einsum("ij,ij->i", Ub, Vb)
     if has_phi:
-        Pb, Qb = phi.P[users], phi.Q[items]
+        phi_block = _gather((phi.P, users), (phi.Q, items))
+        Pb, Qb = phi_block[: len(users)], phi_block[len(users) :]
         g = np.einsum("ij,ij->i", Pb, Qb)
     else:
         g = np.zeros_like(r)
@@ -268,21 +283,22 @@ def point_step(theta: PreferenceParams, phi: Optional[NoiseParams], batch: Batch
         if cp_pos is not None:
             cp_pos = cp_pos * rho
 
-    touched_u = sorted_unique(users)
-    touched_i = sorted_unique(items)
+    # theta and phi share the rows, so they share the slots
+    touched_u, slot_u = _slots(users, theta.U.shape[0])
+    touched_i, slot_i = _slots(items, theta.V.shape[0])
 
     # the gathered rows become the gradients in place: dU = c * V, dV = c * U
     ct = np.concatenate([ct_pos, ct_neg])[:, None]
     Vb *= ct
     Ub *= ct
-    _apply_sparse(theta.U, users, Vb, config.eta, config.lambda_theta, touched_u)
-    _apply_sparse(theta.V, items, Ub, config.eta, config.lambda_theta, touched_i)
+    _apply_sparse(theta.U, slot_u, Vb, config.eta, config.lambda_theta, touched_u)
+    _apply_sparse(theta.V, slot_i, Ub, config.eta, config.lambda_theta, touched_i)
     if has_phi and cp_pos is not None:
         cp = np.concatenate([cp_pos, cp_neg])[:, None]
         Qb *= cp
         Pb *= cp
-        _apply_sparse(phi.P, users, Qb, config.eta, config.lambda_phi, touched_u)
-        _apply_sparse(phi.Q, items, Pb, config.eta, config.lambda_phi, touched_i)
+        _apply_sparse(phi.P, slot_u, Qb, config.eta, config.lambda_phi, touched_u)
+        _apply_sparse(phi.Q, slot_i, Pb, config.eta, config.lambda_phi, touched_i)
     return value
 
 
@@ -302,17 +318,17 @@ def pairwise_step(theta: PreferenceParams, batch: Batch, config: TrainConfig) ->
     x = np.repeat(np.einsum("ij,ij->i", Ub[::rho], Vp), rho) - np.einsum("ij,ij->i", Ub, Vn)
     c = sigmoid(-x)[:, None]
 
-    touched_u = sorted_unique(users)
-    touched_i = sorted_unique(items)
+    touched_u, slot_u = _slots(users, theta.U.shape[0])
+    touched_i, slot_i = _slots(items, theta.V.shape[0])
 
     # gradients in place: dU = c * (V_i - V_j) in Vn; then dV = c * U in Ub, -c * U in Vn
     Vn3 = Vn.reshape(n, rho, Vn.shape[1])
     np.subtract(Vp[:, None], Vn3, out=Vn3)
     Vn *= c
-    _apply_sparse(theta.U, users, Vn, config.eta, config.lambda_theta, touched_u)
+    _apply_sparse(theta.U, slot_u, Vn, config.eta, config.lambda_theta, touched_u)
     Ub *= c
     np.negative(Ub, out=Vn)
-    _apply_sparse(theta.V, items, block[n:], config.eta, config.lambda_theta, touched_i)
+    _apply_sparse(theta.V, slot_i, block[n:], config.eta, config.lambda_theta, touched_i)
     return float(np.sum(log_sigmoid(x)))
 
 
@@ -400,19 +416,16 @@ def train(dataset: SplitDataset, config: TrainConfig, exclude_train: bool = True
     popularity = train_table.item_degrees().astype(float) if config.optimizer == Optimizer.WBPR else None
     sampler = _BatchSampler(train_table, popularity)
 
-    positives = train_table.pairs
+    codes, N = train_table.codes, train_table.N  # positive (u, i) is code u * N + i
     history = TrainHistory(config=config)
     best_f1 = -1.0
     stale = 0
 
     for epoch in range(config.max_epochs):
-        perm = rng.permutation(len(positives))
-        shuffled = positives[perm]
+        shuffled = codes[rng.permutation(len(codes))]
         objective = 0.0
         for start in range(0, len(shuffled), config.batch_size):
-            chunk = shuffled[start : start + config.batch_size]
-            pos_u = chunk[:, 0]
-            pos_i = chunk[:, 1]
+            pos_u, pos_i = np.divmod(shuffled[start : start + config.batch_size], N)
             neg_j = sampler.sample(pos_u, config.rho, rng)
             batch = Batch(pos_u, pos_i, neg_j)
             if config.optimizer in PAIRWISE:

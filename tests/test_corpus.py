@@ -331,6 +331,13 @@ def test_save_load_split_roundtrip(tmp_path):
     assert loaded.test == ds.test
 
 
+def test_save_split_leaves_no_pairs_cache(tmp_path):
+    ds = split(random_table(np.random.default_rng(9), M=10, N=8, density=0.5), seed=3)
+    save_split(ds, tmp_path / "ds")
+    for table in (ds.train, ds.validation, ds.test):
+        assert "pairs" not in table.__dict__
+
+
 def test_split_file_format(tmp_path):
     table = InteractionTable(3, 4, [(0, 1), (1, 2), (2, 3), (0, 0), (1, 0)])
     ds = split(table, seed=1)

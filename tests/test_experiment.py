@@ -327,6 +327,16 @@ def test_grid_results_identical_with_two_workers(tmp_path, monkeypatch):
     assert once(2) == serial
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_grid_rejects_bad_worker_count(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("NOISYREC_WORKERS", value)
+    spec = ExperimentSpec(output_dir=str(tmp_path / "out"), dataset="split",
+                          split_dir=write_tiny_split(tmp_path), method="BPO", config=tiny_config())
+    with pytest.raises(ValueError, match=re.escape(f"NOISYREC_WORKERS must be a positive int, got {value!r}")):
+        grid_search(spec, GridSpec(coarse_eta=(0.05,), coarse_lambda=(0.01,)), stages=("coarse",))
+    assert not (tmp_path / "out").exists()  # rejected before any cell trains or writes
+
+
 def test_emit_plots_schemas(tmp_path):
     table = [
         {"stage": "coarse", "eta": 0.01, "lambda_theta": 0.1, "lambda_phi": 0.1, "val_f1@2": 0.1},

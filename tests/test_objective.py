@@ -40,6 +40,37 @@ def test_log_sigmoid_stable_to_1000():
     assert np.all(vals <= 0)
 
 
+def masked_sigmoid(x):
+    # the array path before it became branch-free: each branch on its own masked subset
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def masked_log_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = -np.log1p(np.exp(-x[pos]))
+    out[~pos] = x[~pos] - np.log1p(np.exp(x[~pos]))
+    return out
+
+
+def test_array_paths_bit_identical_to_masked_formulas():
+    special = [0.0, 5e-324, 2.2e-308, 1e-310, 36.7, 709.0, 745.0, 1e3, 1e308, np.inf]
+    special = np.array(special + [-v for v in special])
+    rng = np.random.default_rng(17)
+    draws = [rng.normal(0, scale, 100_000) for scale in (1e-3, 1.0, 10.0, 40.0, 800.0)]
+    for x in [special, *draws]:
+        for fast, ref in ((sigmoid, masked_sigmoid), (log_sigmoid, masked_log_sigmoid)):
+            got, want = fast(x), ref(x)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), fast.__name__
+    for fast in (sigmoid, log_sigmoid):
+        assert np.isnan(fast(np.array([np.nan, 1.0, -np.nan]))).tolist() == [True, False, True]
+
+
 def test_sigmoid_complement_identity():
     for x in np.linspace(-50, 50, 1001):
         assert abs(sigmoid(x) + sigmoid(-x) - 1.0) <= 1e-15

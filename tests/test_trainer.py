@@ -504,6 +504,20 @@ def test_config_validation():
         TrainConfig(rho=0)
     with pytest.raises(ValueError):
         TrainConfig(optimizer="NOPE")
+    bad = {"max_epochs": 0, "K": 0, "L": -1, "lambda_theta": -0.1, "lambda_phi": -1e-9,
+           "patience": -1, "rho": 0, "batch_size": 0}
+    for name, value in bad.items():
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            TrainConfig(**{name: value})
+    TrainConfig(max_epochs=1, K=1, L=0, lambda_theta=0.0, lambda_phi=0.0, patience=0)
+
+
+def test_train_leaves_no_pairs_cache():
+    for optimizer in (Optimizer.NBPO_SS, Optimizer.WBPR):
+        ds = make_split()
+        train(ds, TrainConfig(optimizer=optimizer, eta=0.1, rho=2, batch_size=5, K=3, L=2, max_epochs=2))
+        for table in (ds.train, ds.validation, ds.test):
+            assert "pairs" not in table.__dict__, optimizer
 
 
 def test_effective_l_ignored_for_point_baselines():
