@@ -88,3 +88,10 @@ def itemknn_scorer(model: ItemKnnModel, train: InteractionTable) -> Callable:
         return np.bincount(model.items[take], model.weights[take], minlength=N).astype(float, copy=False)
 
     return score_user
+
+
+def baseline_scorer(method: str, train: InteractionTable, neighbors: int = 50) -> Callable:
+    """The scorer of an "ITEMPOP" model, or else an "ITEMKNN" one (`neighbors` per item), fitted on `train`."""
+    if method == "ITEMPOP":
+        return itempop_scorer(fit_itempop(train))
+    return itemknn_scorer(fit_itemknn(train, neighbors), train)

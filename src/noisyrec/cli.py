@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from typing import Callable, NamedTuple, Optional
 
 from noisyrec import baselines, corpus, experiment
 from noisyrec.evaluation import evaluate, mf_scorer
@@ -13,18 +14,56 @@ from noisyrec.model import load_checkpoint
 from noisyrec.trainer import TrainConfig
 
 
+def parse_bool(text: str) -> bool:
+    """1/0/true/false/yes/no, in any case."""
+    value = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}.get(text.lower())
+    if value is None:
+        raise ValueError(f"expected 1/0/true/false/yes/no, got {text!r}")
+    return value
+
+
+class TrainOption(NamedTuple):
+    key: str  # config-file key; the flag is --key with '-' for '_'
+    field: str  # the TrainConfig or ExperimentSpec field it sets
+    parse: Callable[[str], object]
+    help: Optional[str] = None
+
+
+TRAIN_OPTIONS = (
+    TrainOption("optimizer", "optimizer", str),
+    TrainOption("eta", "eta", float),
+    TrainOption("lambda_theta", "lambda_theta", float),
+    TrainOption("lambda_phi", "lambda_phi", float),
+    TrainOption("rho", "rho", int),
+    TrainOption("batch_size", "batch_size", int),
+    TrainOption("k", "K", int, "preference latent dimension"),
+    TrainOption("l", "L", int, "noise latent dimension"),
+    TrainOption("epochs", "max_epochs", int),
+    TrainOption("seed", "seed", int),
+    TrainOption("repeats", "repeat_count", int),
+    TrainOption("balance_positives", "balance_positives", parse_bool),
+    TrainOption("exclude_train", "exclude_train", parse_bool),
+)
+
+
 def load_config_file(path) -> dict:
-    """Flat key=value config file; '#' starts a comment."""
+    """Flat key = value file of TRAIN_OPTIONS keys, each value parsed; '#' starts a comment."""
+    options = {opt.key: opt for opt in TRAIN_OPTIONS}
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            values[key] = val
+            key, eq, raw = (s.strip() for s in line.partition("="))
+            if not eq:
+                raise corpus.ParseError(path, lineno, f"expected key = value, got {line!r}")
+            if key not in options:
+                raise corpus.ParseError(path, lineno, f"unknown config key {key!r}")
+            try:
+                values[key] = options[key].parse(raw)
+            except ValueError as exc:
+                raise corpus.ParseError(path, lineno, f"bad value for {key!r}: {exc}") from None
     return values
 
 
@@ -38,68 +77,40 @@ def add_dataset_flags(p: argparse.ArgumentParser):
 
 
 def add_train_flags(p: argparse.ArgumentParser):
-    p.add_argument("--optimizer", default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--lambda-theta", type=float, default=None)
-    p.add_argument("--lambda-phi", type=float, default=None)
-    p.add_argument("--rho", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--k", type=int, default=None, help="preference latent dimension")
-    p.add_argument("--l", type=int, default=None, help="noise latent dimension")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--balance-positives", action="store_true", default=None)
-    p.add_argument("--no-exclude-train", action="store_true", default=None)
+    fields = dataclasses.fields(TrainConfig) + dataclasses.fields(experiment.ExperimentSpec)
+    defaults = {f.name: f.default for f in fields}
+    for opt in TRAIN_OPTIONS:
+        flag = "--" + opt.key.replace("_", "-")
+        if opt.parse is parse_bool:  # the flag sets the opposite of the field's default
+            on = defaults[opt.field]
+            p.add_argument(flag.replace("--", "--no-") if on else flag, action="store_const", const=not on,
+                           default=None, dest=opt.key, help=opt.help)
+        else:
+            p.add_argument(flag, type=opt.parse, default=None, dest=opt.key, help=opt.help)
     p.add_argument("--config", default=None, help="flat key=value config file")
 
 
-_CONFIG_KEYS = {
-    "optimizer": str,
-    "eta": float,
-    "lambda_theta": float,
-    "lambda_phi": float,
-    "rho": int,
-    "batch_size": int,
-    "k": int,
-    "l": int,
-    "epochs": int,
-    "seed": int,
-    "repeats": int,
-    "balance_positives": lambda s: s.lower() in ("1", "true", "yes"),
-    "exclude_train": lambda s: s.lower() in ("1", "true", "yes"),
-}
-
-
 def resolve_train_options(args) -> dict:
-    """Merge config file values with CLI flags; flags override the file."""
-    merged = {}
-    if args.config:
-        file_values = load_config_file(args.config)
-        for key, raw in file_values.items():
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            merged[key] = _CONFIG_KEYS[key](raw)
-    for key in _CONFIG_KEYS:  # a flag left out is None; exclude_train has only the inverted flag below
-        if vars(args).get(key) is not None:
-            merged[key] = vars(args)[key]
-    if args.no_exclude_train:
-        merged["exclude_train"] = False
+    """Merge config file values with CLI flags; flags override the file. A flag left out is None."""
+    merged = load_config_file(args.config) if args.config else {}
+    merged.update({opt.key: getattr(args, opt.key) for opt in TRAIN_OPTIONS if getattr(args, opt.key) is not None})
     return merged
 
 
-# option names that differ from the TrainConfig field they set
-_RENAMED = {"k": "K", "l": "L", "epochs": "max_epochs"}
+def _fields_of(cls, opts: dict) -> dict:
+    """The resolved options that set a field of `cls`, keyed by that field."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return {opt.field: opts[opt.key] for opt in TRAIN_OPTIONS if opt.key in opts and opt.field in names}
 
 
 def build_train_config(opts: dict) -> TrainConfig:
     """TrainConfig from resolved options; options left out keep TrainConfig's defaults."""
-    fields = {f.name for f in dataclasses.fields(TrainConfig)}
-    kwargs = {_RENAMED.get(key, key): val for key, val in opts.items()}
-    return TrainConfig(**{key: val for key, val in kwargs.items() if key in fields})
+    return TrainConfig(**_fields_of(TrainConfig, opts))
 
 
-def build_spec(args, opts: dict) -> experiment.ExperimentSpec:
+def build_spec(args) -> experiment.ExperimentSpec:
+    """The train/grid spec: resolved options over the dataset flags."""
+    opts = resolve_train_options(args)
     config = build_train_config(opts)
     return experiment.ExperimentSpec(
         output_dir=args.out,
@@ -110,8 +121,7 @@ def build_spec(args, opts: dict) -> experiment.ExperimentSpec:
         split_seed=getattr(args, "split_seed", 0),
         method=config.optimizer.value,
         config=config,
-        repeat_count=opts.get("repeats", 1),
-        exclude_train=opts.get("exclude_train", True),
+        **{"repeat_count": 1, **_fields_of(experiment.ExperimentSpec, opts)},  # the CLI runs once by default
     )
 
 
@@ -123,16 +133,14 @@ def cmd_prep(args):
 
 
 def cmd_train(args):
-    opts = resolve_train_options(args)
-    spec = build_spec(args, opts)
+    spec = build_spec(args)
     summary = experiment.run(spec)
     print(json.dumps(summary["mean_test"], indent=2, sort_keys=True))
     print(f"summary written to {spec.output_dir}/summary.json")
 
 
 def cmd_grid(args):
-    opts = resolve_train_options(args)
-    spec = build_spec(args, opts)
+    spec = build_spec(args)
     stages = args.stage.split(",") if args.stage else None
     best, table = experiment.grid_search(spec, experiment.GridSpec(), stages=stages)
     print(json.dumps(experiment.config_to_dict(best), indent=2, sort_keys=True))
@@ -144,11 +152,8 @@ def cmd_eval(args):
         raise ValueError("eval --method checkpoint requires --checkpoint")
     dataset = corpus.load_split(args.split_dir)
     heldout = dataset.test if args.split == "test" else dataset.validation
-    if args.method == "ITEMPOP":
-        scorer = baselines.itempop_scorer(baselines.fit_itempop(dataset.train))
-    elif args.method == "ITEMKNN":
-        model = baselines.fit_itemknn(dataset.train, args.neighbors)
-        scorer = baselines.itemknn_scorer(model, dataset.train)
+    if args.method in experiment.BASELINE_METHODS:
+        scorer = baselines.baseline_scorer(args.method, dataset.train, args.neighbors)
     else:
         theta, _ = load_checkpoint(args.checkpoint)
         shape, split_shape = (len(theta.U), len(theta.V)), (dataset.train.M, dataset.train.N)
@@ -198,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="staged hyperparameter grid search")
     add_dataset_flags(p)
     p.add_argument("--stage", default=None,
-                   help="comma-separated subset of: coarse,fine,lambda_split,rho,batch,K,L")
+                   help="comma-separated subset of: " + ",".join(experiment.ALL_STAGES))
     add_train_flags(p)
     p.set_defaults(func=cmd_grid)
 

@@ -54,6 +54,7 @@ def mf_scorer(theta: PreferenceParams) -> Callable:
     return score_user
 
 
+EVAL_KS = (2, 5, 10, 20)  # the cutoffs every report, epoch CSV and summary carries
 _BLOCK_CELLS = 1 << 17  # score cells ranked at once; bounds the block temporaries
 
 
@@ -61,7 +62,7 @@ def evaluate(
     scorer: Callable,
     heldout: InteractionTable,
     train: InteractionTable,
-    ks=(2, 5, 10, 20),
+    ks=EVAL_KS,
     exclude_train: bool = True,
 ) -> MetricReport:
     """Rank items per user, compute F1@k and NDCG@k, average over evaluated users.

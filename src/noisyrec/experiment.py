@@ -10,16 +10,15 @@ import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from noisyrec import baselines, corpus
-from noisyrec.evaluation import evaluate, mf_scorer
+from noisyrec.evaluation import EVAL_KS, evaluate, mf_scorer
 from noisyrec.trainer import NOISE_AWARE, Optimizer, TrainConfig, train
 
 BASELINE_METHODS = ("ITEMPOP", "ITEMKNN")
-EVAL_KS = (2, 5, 10, 20)
 
 
 @dataclass
@@ -101,11 +100,7 @@ def _report_dict(report) -> dict:
 
 
 def _run_baseline(spec: ExperimentSpec, dataset: corpus.SplitDataset) -> dict:
-    if spec.method == "ITEMPOP":
-        scorer = baselines.itempop_scorer(baselines.fit_itempop(dataset.train))
-    else:
-        model = baselines.fit_itemknn(dataset.train, spec.knn_neighbors)
-        scorer = baselines.itemknn_scorer(model, dataset.train)
+    scorer = baselines.baseline_scorer(spec.method, dataset.train, spec.knn_neighbors)
     val = evaluate(scorer, dataset.validation, dataset.train, EVAL_KS, spec.exclude_train)
     test = evaluate(scorer, dataset.test, dataset.train, EVAL_KS, spec.exclude_train)
     return {"validation": _report_dict(val), "test": _report_dict(test)}
@@ -138,7 +133,7 @@ def run(spec: ExperimentSpec, dataset: Optional[corpus.SplitDataset] = None) -> 
                 raise ValueError(f"{cfg.optimizer.value} seed {cfg.seed} diverged at epoch 0: no snapshot to test")
             csv_path = os.path.join(spec.output_dir, f"epochs_seed{cfg.seed}.csv")
             with open(csv_path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(history.to_csv_lines(EVAL_KS)) + "\n")
+                fh.write("\n".join(history.to_csv_lines()) + "\n")
             test = evaluate(
                 mf_scorer(history.best_theta), dataset.test, dataset.train,
                 EVAL_KS, spec.exclude_train,
@@ -191,12 +186,44 @@ class GridSpec:
                 raise ValueError(f"{name} must be nonempty")
 
 
-ALL_STAGES = ("coarse", "fine", "lambda_split", "rho", "batch", "K", "L")
+class Stage(NamedTuple):
+    name: str
+    plot_file: str  # emit_plots writes the stage's rows of the results table here
+    sweep: Optional[Tuple[str, str]] = None  # (GridSpec range, TrainConfig field) of a one-field sweep
+    noise_aware_only: bool = False
+
+
+# in the order grid_search runs them
+STAGES = (
+    Stage("coarse", "eta_lambda_coarse.csv"),
+    Stage("fine", "eta_lambda_fine.csv"),
+    Stage("lambda_split", "lambda_grid.csv", noise_aware_only=True),
+    Stage("rho", "rho_sweep.csv", ("rho_range", "rho")),
+    Stage("batch", "batch_sweep.csv", ("batch_range", "batch_size")),
+    Stage("K", "k_sweep.csv", ("K_range", "K")),
+    Stage("L", "l_sweep.csv", ("L_range", "L"), noise_aware_only=True),
+)
+ALL_STAGES = tuple(stage.name for stage in STAGES)
+STAGE_FILES = {stage.name: stage.plot_file for stage in STAGES}
 
 
 def fine_values(v: float) -> List[float]:
     """Fine sweep around a coarse winner: {v/5, v/2, v, 2v, 5v}."""
     return sorted({v / 5, v / 2, v, 2 * v, 5 * v})
+
+
+def _stage_cells(stage: Stage, grid: GridSpec, best: TrainConfig, noise_aware: bool) -> List[dict]:
+    """The stage's cells, each a dict of the TrainConfig fields it sets on top of `best`."""
+    if stage.sweep is not None:
+        grid_range, field_name = stage.sweep
+        return [{field_name: v} for v in getattr(grid, grid_range)]
+    if stage.name == "lambda_split":
+        return [{"lambda_theta": lt, "lambda_phi": lp}
+                for lt in fine_values(best.lambda_theta) for lp in fine_values(best.lambda_phi)]
+    # coarse and fine: eta x lambda with the two regularizers tied
+    etas, lams = ((grid.coarse_eta, grid.coarse_lambda) if stage.name == "coarse"
+                  else (fine_values(best.eta), fine_values(best.lambda_theta)))
+    return [{"eta": e, "lambda_theta": lam, "lambda_phi": lam if noise_aware else 0.0} for e in etas for lam in lams]
 
 
 def _eval_cell(args) -> float:
@@ -225,63 +252,34 @@ def grid_search(
 ) -> Tuple[TrainConfig, List[dict]]:
     """Staged grid search selecting by validation F1@2.
 
-    Stages run in order: coarse and fine eta x lambda sweeps with the two
-    regularizers tied, then an independent lambda_theta x lambda_phi sweep
-    (noise-aware variants only), then rho, batch size, K, and L. Ties go to
-    the earlier cell in enumeration order.
+    Stages run in STAGES order: coarse and fine eta x lambda sweeps with the
+    two regularizers tied, then an independent lambda_theta x lambda_phi sweep
+    (noise-aware variants only), then rho, batch size, K, and L (noise-aware
+    only). Ties go to the earlier cell in enumeration order. An unknown stage
+    name raises ValueError before any cell trains.
     """
     spec.validate()
     if spec.method in BASELINE_METHODS:
         raise ValueError("grid search applies to trained optimizers only")
+    stages = list(stages) if stages is not None else list(ALL_STAGES)
+    unknown = [name for name in stages if name not in ALL_STAGES]
+    if unknown:
+        raise ValueError(f"unknown grid stage {unknown[0]!r}; valid stages: {','.join(ALL_STAGES)}")
     if dataset is None:
         dataset = prepare(spec)
-    stages = list(stages) if stages is not None else list(ALL_STAGES)
     optimizer = Optimizer(spec.method)
     noise_aware = optimizer in NOISE_AWARE
     best = replace(spec.config, optimizer=optimizer)
     table: List[dict] = []
-    cell_index = 0
-
-    def sweep(stage: str, cells: List[dict]):
-        nonlocal best, cell_index
-        configs = []
-        for cell in cells:
-            cfg = replace(best, **cell, seed=spec.config.seed + cell_index)
-            configs.append(cfg)
-            cell_index += 1
+    for stage in STAGES:
+        if stage.name not in stages or (stage.noise_aware_only and not noise_aware):
+            continue
+        cells = _stage_cells(stage, grid, best, noise_aware)
+        # a cell's seed offset is its row in the results table
+        configs = [replace(best, **cell, seed=spec.config.seed + len(table) + n) for n, cell in enumerate(cells)]
         scores = _run_cells(dataset, configs, spec.exclude_train)
-        best_score = -1.0
-        winner = None
-        for cell, cfg, score in zip(cells, configs, scores):
-            table.append({"stage": stage, **cell, "val_f1@2": score})
-            if score > best_score:
-                best_score = score
-                winner = cfg
-        best = replace(winner, seed=spec.config.seed)
-
-    if "coarse" in stages:
-        sweep("coarse", [
-            {"eta": e, "lambda_theta": lam, "lambda_phi": lam if noise_aware else 0.0}
-            for e in grid.coarse_eta for lam in grid.coarse_lambda
-        ])
-    if "fine" in stages:
-        sweep("fine", [
-            {"eta": e, "lambda_theta": lam, "lambda_phi": lam if noise_aware else 0.0}
-            for e in fine_values(best.eta) for lam in fine_values(best.lambda_theta)
-        ])
-    if "lambda_split" in stages and noise_aware:
-        sweep("lambda_split", [
-            {"lambda_theta": lt, "lambda_phi": lp}
-            for lt in fine_values(best.lambda_theta) for lp in fine_values(best.lambda_phi)
-        ])
-    if "rho" in stages:
-        sweep("rho", [{"rho": r} for r in grid.rho_range])
-    if "batch" in stages:
-        sweep("batch", [{"batch_size": b} for b in grid.batch_range])
-    if "K" in stages:
-        sweep("K", [{"K": k} for k in grid.K_range])
-    if "L" in stages and noise_aware:
-        sweep("L", [{"L": ell} for ell in grid.L_range])
+        table.extend({"stage": stage.name, **cell, "val_f1@2": score} for cell, score in zip(cells, scores))
+        best = replace(configs[scores.index(max(scores))], seed=spec.config.seed)
 
     os.makedirs(spec.output_dir, exist_ok=True)
     _write_results_table(table, os.path.join(spec.output_dir, "grid_results.csv"))
@@ -305,17 +303,6 @@ def _write_results_table(table: List[dict], path: str):
 
 # ---------------------------------------------------------------------------
 # plot-data emission
-
-
-STAGE_FILES = {
-    "coarse": "eta_lambda_coarse.csv",
-    "fine": "eta_lambda_fine.csv",
-    "lambda_split": "lambda_grid.csv",
-    "rho": "rho_sweep.csv",
-    "batch": "batch_sweep.csv",
-    "K": "k_sweep.csv",
-    "L": "l_sweep.csv",
-}
 
 
 def emit_plots(table: List[dict], outdir: str, summaries: Optional[List[dict]] = None) -> List[str]:

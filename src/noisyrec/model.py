@@ -74,37 +74,32 @@ def topk_from_scores(scores: np.ndarray, k: int, excluded: np.ndarray) -> np.nda
     (B, k) int64; a row with fewer than k candidates is padded with -1. NaN
     scores rank after every real score.
     """
-    cols = None
     B, N = scores.shape
-    if 0 < k < N:
-        # Preselect: an item can reach the top k only if it is not excluded and scores at least
-        # the row's k-th highest real score (any item, when the row has fewer than k). Ties with
-        # that score stay in and the window keeps ascending index order, so the stable sort
-        # below still breaks ties by index; the columns that only pad a row's window are marked
-        # excluded, so they sort after every candidate.
-        key = np.negative(scores)
-        np.copyto(key, np.nan, where=excluded)
-        key.partition(k - 1, axis=1)  # in place; NaN keys go last
-        cut = -key[:, k - 1 : k]  # NaN when the row has fewer than k real scores
-        del key
-        cand = scores >= cut  # False for NaN scores and NaN cuts
-        cand[np.isnan(cut[:, 0])] = True
-        cand &= ~excluded
-        rows, idx = np.divmod(np.flatnonzero(cand), N)  # row-major: each row's candidates ascending
-        counts = np.bincount(rows, minlength=B)
-        slot = np.arange(len(idx)) - (np.cumsum(counts) - counts)[rows]
-        cols = np.zeros((B, int(counts.max(initial=0))), dtype=np.int64)
-        cols[rows, slot] = idx
-        scores = np.take_along_axis(scores, cols, axis=1)
-        excluded = np.ones(cols.shape, dtype=bool)
-        excluded[rows, slot] = False
-    # the mask is the primary key; as +inf on the negated scores it would sort ahead of NaN
-    order = np.lexsort((-scores, excluded), axis=-1)[:, :k]
-    dropped = np.take_along_axis(excluded, order, axis=-1)
-    if cols is not None:
-        order = np.take_along_axis(cols, order, axis=-1)
     top = np.full((B, k), -1, dtype=np.int64)
-    top[:, : order.shape[1]] = np.where(dropped, -1, order)
+    k = min(k, N)  # past N the result is only padding
+    if k == 0:
+        return top
+    # Preselect: an item can reach the top k only if it is not excluded and scores at least
+    # the row's k-th highest real score (any item, when the row has fewer than k). Ties with
+    # that score stay in and the window keeps ascending index order, so the stable sort
+    # below still breaks ties by index; the columns that only pad a row's window hold -1 and
+    # sort after every candidate, so they can only reach the result as its -1 padding.
+    key = np.negative(scores)
+    np.copyto(key, np.nan, where=excluded)
+    key.partition(k - 1, axis=1)  # in place; NaN keys go last
+    cut = -key[:, k - 1 : k]  # NaN when the row has fewer than k real scores
+    del key
+    cand = scores >= cut  # False for NaN scores and NaN cuts
+    cand[np.isnan(cut[:, 0])] = True
+    cand &= ~excluded
+    rows, idx = np.divmod(np.flatnonzero(cand), N)  # row-major: each row's candidates ascending
+    counts = np.bincount(rows, minlength=B)
+    slot = np.arange(len(idx)) - (np.cumsum(counts) - counts)[rows]
+    cols = np.full((B, int(counts.max(initial=0))), -1, dtype=np.int64)
+    cols[rows, slot] = idx
+    # the padding mask is the primary key; as +inf on the negated scores it would sort ahead of NaN
+    order = np.lexsort((-np.take_along_axis(scores, cols, axis=1), cols < 0), axis=-1)[:, :k]
+    top[:, : order.shape[1]] = np.take_along_axis(cols, order, axis=-1)
     return top
 
 

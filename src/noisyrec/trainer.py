@@ -10,6 +10,7 @@ from typing import List, Optional
 import numpy as np
 
 from noisyrec.corpus import InteractionTable, SplitDataset
+from noisyrec.evaluation import EVAL_KS
 from noisyrec.model import InitSpec, NoiseParams, PreferenceParams, init_params
 from noisyrec.objective import (
     RegSpec,
@@ -51,8 +52,9 @@ class TrainConfig:
 
     def __post_init__(self):
         self.optimizer = Optimizer(self.optimizer)
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        for name in ("eta", "init_scale"):
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("rho", "batch_size", "max_epochs", "K"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -104,18 +106,18 @@ class TrainHistory:
             return 0.0
         return self.epochs[self.best_epoch].report.f1[2]
 
-    def to_csv_lines(self, ks=(2, 5, 10, 20)) -> List[str]:
+    def to_csv_lines(self) -> List[str]:
         header = (
             "epoch,objective,"
-            + ",".join(f"f1@{k}" for k in ks)
+            + ",".join(f"f1@{k}" for k in EVAL_KS)
             + ","
-            + ",".join(f"ndcg@{k}" for k in ks)
+            + ",".join(f"ndcg@{k}" for k in EVAL_KS)
         )
         lines = [header]
         for rec in self.epochs:
             vals = [str(rec.epoch), f"{rec.objective:.10g}"]
-            vals += [f"{rec.report.f1[k]:.10g}" for k in ks]
-            vals += [f"{rec.report.ndcg[k]:.10g}" for k in ks]
+            vals += [f"{rec.report.f1[k]:.10g}" for k in EVAL_KS]
+            vals += [f"{rec.report.ndcg[k]:.10g}" for k in EVAL_KS]
             lines.append(",".join(vals))
         return lines
 

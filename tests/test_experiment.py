@@ -467,13 +467,68 @@ def test_cli_train_config_defaults_come_from_train_config():
 
 
 def test_cli_unknown_config_key(tmp_path):
-    cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text("etaa = 0.1\n")
+    # (file text, the failing line, a word the error must name): an unknown key, a line without
+    # '=', and values their parsers reject
+    cases = [
+        ("etaa = 0.1\n", 1, "etaa"),
+        ("# a comment\neta 0.1\n", 2, "eta 0.1"),
+        ("eta = 0.1\nrho = 2.5\n", 2, "rho"),
+        ("exclude_train = ture\n", 1, "exclude_train"),
+        ("\nbalance_positives = 2\n", 2, "balance_positives"),
+        ("k = ten\n", 1, "'k'"),
+    ]
     parser = cli.build_parser()
-    args = parser.parse_args(["train", "--split-dir", "x", "--out", "y",
-                              "--config", str(cfg_path)])
-    with pytest.raises(ValueError, match="etaa"):
-        cli.resolve_train_options(args)
+    for text, lineno, word in cases:
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(text)
+        args = parser.parse_args(["train", "--split-dir", "x", "--out", "y",
+                                  "--config", str(cfg_path)])
+        with pytest.raises(corpus.ParseError) as exc:
+            cli.resolve_train_options(args)
+        assert str(exc.value).startswith(f"{cfg_path}:{lineno}: "), text
+        assert word in str(exc.value), text
+
+
+def test_cli_boolean_config_values(tmp_path):
+    parser = cli.build_parser()
+    cfg_path = tmp_path / "run.cfg"
+    for text, value in [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False)]:
+        cfg_path.write_text(f"exclude_train = {text}\nbalance_positives = {text}\n")
+        args = parser.parse_args(["train", "--split-dir", "x", "--out", "y", "--config", str(cfg_path)])
+        opts = cli.resolve_train_options(args)
+        assert opts["exclude_train"] is value and opts["balance_positives"] is value, text
+        spec = cli.build_spec(args)
+        assert spec.exclude_train is value and spec.config.balance_positives is value
+    # the flags win over the file
+    cfg_path.write_text("exclude_train = yes\nbalance_positives = no\n")
+    args = parser.parse_args(["train", "--split-dir", "x", "--out", "y", "--config", str(cfg_path),
+                              "--no-exclude-train", "--balance-positives"])
+    opts = cli.resolve_train_options(args)
+    assert opts["exclude_train"] is False and opts["balance_positives"] is True
+    # without file or flags: TrainConfig's and ExperimentSpec's defaults, and one repeat
+    spec = cli.build_spec(parser.parse_args(["train", "--split-dir", "x", "--out", "y"]))
+    assert spec.exclude_train is True and spec.repeat_count == 1 and spec.config == TrainConfig()
+
+
+def test_cli_grid_rejects_unknown_stage(tmp_path, capsys):
+    out_dir = tmp_path / "grid_out"
+    assert cli.main(["grid", "--split-dir", write_tiny_split(tmp_path), "--out", str(out_dir),
+                     "--optimizer", "BPO", "--epochs", "1", "--stage", "coarse,rhoo"]) == 2
+    err = capsys.readouterr().err
+    assert "'rhoo'" in err and ",".join(experiment.ALL_STAGES) in err
+    assert not (out_dir / "grid_results.csv").exists()
+
+
+def test_stage_table_runs_the_one_field_sweeps(tmp_path):
+    spec = ExperimentSpec(output_dir=str(tmp_path / "out"), dataset="split",
+                          split_dir=write_tiny_split(tmp_path), method="BPO",
+                          config=tiny_config(optimizer="BPO", max_epochs=1), repeat_count=1)
+    grid = GridSpec(rho_range=(1, 2), batch_range=(32,), K_range=(2, 3), L_range=(0, 1))
+    _, table = grid_search(spec, grid, stages=("L", "K", "batch", "rho", "lambda_split"))
+    # in table order; L and lambda_split are for noise-aware optimizers only
+    assert [(row["stage"], {k: v for k, v in row.items() if k not in ("stage", "val_f1@2")}) for row in table] == [
+        ("rho", {"rho": 1}), ("rho", {"rho": 2}), ("batch", {"batch_size": 32}), ("K", {"K": 2}), ("K", {"K": 3}),
+    ]
 
 
 def test_cli_error_exit_code(tmp_path):

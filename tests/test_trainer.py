@@ -505,10 +505,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(optimizer="NOPE")
     bad = {"max_epochs": 0, "K": 0, "L": -1, "lambda_theta": -0.1, "lambda_phi": -1e-9,
-           "patience": -1, "rho": 0, "batch_size": 0}
+           "patience": -1, "rho": 0, "batch_size": 0, "eta": -0.5, "init_scale": 0.0}
     for name, value in bad.items():
-        with pytest.raises(ValueError, match=rf"^{name} must be"):
+        with pytest.raises(ValueError, match=rf"^{name} must be .*{value}"):
             TrainConfig(**{name: value})
+    with pytest.raises(ValueError, match=r"^init_scale must be positive, got -1.0"):
+        TrainConfig(init_scale=-1.0)
     TrainConfig(max_epochs=1, K=1, L=0, lambda_theta=0.0, lambda_phi=0.0, patience=0)
 
 
