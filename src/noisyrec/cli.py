@@ -28,6 +28,21 @@ class TrainOption(NamedTuple):
     parse: Callable[[str], object]
     help: Optional[str] = None
 
+    def read(self, text: str):
+        """text parsed, once the TrainConfig or ExperimentSpec check of the field accepts it.
+
+        Raises ArgumentTypeError, whose message argparse shows after the flag's name.
+        """
+        try:
+            value = self.parse(text)
+            if self.field in {f.name for f in dataclasses.fields(TrainConfig)}:
+                TrainConfig(**{self.field: value})
+            else:
+                experiment.ExperimentSpec("", **{self.field: value})
+            return value
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
 
 TRAIN_OPTIONS = (
     TrainOption("optimizer", "optimizer", str),
@@ -61,8 +76,8 @@ def load_config_file(path) -> dict:
             if key not in options:
                 raise corpus.ParseError(path, lineno, f"unknown config key {key!r}")
             try:
-                values[key] = options[key].parse(raw)
-            except ValueError as exc:
+                values[key] = options[key].read(raw)
+            except argparse.ArgumentTypeError as exc:
                 raise corpus.ParseError(path, lineno, f"bad value for {key!r}: {exc}") from None
     return values
 
@@ -86,7 +101,7 @@ def add_train_flags(p: argparse.ArgumentParser):
             p.add_argument(flag.replace("--", "--no-") if on else flag, action="store_const", const=not on,
                            default=None, dest=opt.key, help=opt.help)
         else:
-            p.add_argument(flag, type=opt.parse, default=None, dest=opt.key, help=opt.help)
+            p.add_argument(flag, type=opt.read, default=None, dest=opt.key, help=opt.help)
     p.add_argument("--config", default=None, help="flat key=value config file")
 
 

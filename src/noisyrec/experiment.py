@@ -36,9 +36,11 @@ class ExperimentSpec:
     exclude_train: bool = True
     cache_dir: Optional[str] = None
 
-    def validate(self):
+    def __post_init__(self):
         if self.repeat_count < 1:
-            raise ValueError("repeat_count must be >= 1")
+            raise ValueError(f"repeat_count must be >= 1, got {self.repeat_count}")
+
+    def validate(self):
         if self.method not in BASELINE_METHODS:
             Optimizer(self.method)  # raises on unknown optimizer
         if self.dataset == "split":

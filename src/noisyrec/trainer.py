@@ -28,6 +28,10 @@ class Optimizer(str, enum.Enum):
     NBPO_S = "NBPO_S"
     NBPO_SS = "NBPO_SS"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"{value!r} is not an optimizer; valid: {', '.join(m.value for m in cls)}")
+
 
 PAIRWISE = (Optimizer.BPR, Optimizer.WBPR)
 NOISE_AWARE = (Optimizer.NBPO_O, Optimizer.NBPO_S, Optimizer.NBPO_SS)

@@ -419,8 +419,10 @@ def test_sorted_unique_matches_np_unique():
     for dtype in (np.int64, np.int32, np.intp):
         for n in (0, 1, 7, 500):
             values = rng.integers(0, 40, n).astype(dtype)
-            got = sorted_unique(values)
-            assert got.dtype == values.dtype and np.array_equal(got, np.unique(values))
+            # shuffled, sorted with repeats, and strictly increasing input
+            for case in (values, np.sort(values), np.unique(values)):
+                got = sorted_unique(case)
+                assert got.dtype == values.dtype and np.array_equal(got, np.unique(values))
 
 
 def test_table_rejects_out_of_range_pair():
@@ -456,3 +458,43 @@ def test_load_split_empty_table_without_warning(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert load_split(tmp_path) == ds
+
+
+@pytest.mark.parametrize("name, header", [("valid", "9 9 5"), ("test", "4 3 2")])  # M and N; the seed alone
+def test_load_split_headers_must_agree(tmp_path, name, header):
+    ds = SplitDataset(InteractionTable(4, 3, [(0, 0), (3, 2)]), InteractionTable(4, 3, [(1, 1)]),
+                      InteractionTable(4, 3, [(2, 0)]), seed=1)
+    save_split(ds, tmp_path)
+    path = tmp_path / f"{name}.txt"
+    path.write_text(path.read_text().replace("4 3 1", header, 1))
+    with pytest.raises(ParseError) as exc:
+        load_split(tmp_path)
+    assert (exc.value.path, exc.value.lineno) == (str(path), 1)
+    assert str(tuple(map(int, header.split()))) in str(exc.value) and "(4, 3, 1)" in str(exc.value)
+
+
+def test_split_io_past_one_chunk(tmp_path):
+    # more train rows than one write chunk (65,536) and one np.loadtxt read chunk (50,000)
+    rng = np.random.default_rng(16)
+    M, N = 400, 300
+    codes = rng.choice(M * N, size=90_000, replace=False)
+    parts = [np.column_stack(np.divmod(c, N)) for c in np.split(codes, [80_000, 85_000])]
+    ds = SplitDataset(*(InteractionTable(M, N, part) for part in parts), seed=11)
+    save_split(ds, tmp_path)
+    for name, table in (("train", ds.train), ("valid", ds.validation), ("test", ds.test)):
+        want = f"{M} {N} 11\n" + "".join(f"{u}\t{i}\n" for u, i in table.pairs.tolist())
+        assert (tmp_path / f"{name}.txt").read_bytes() == want.encode()
+    assert len(ds.train) == 80_000 and load_split(tmp_path) == ds
+    for name in ("train", "valid", "test"):  # CRLF line endings read the same
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert load_split(tmp_path) == ds
+    train = tmp_path / "train.txt"
+    for lineno, bad in ((60_123, "7\tx"), (79_990, f"{M}\t0")):  # malformed; out of range
+        save_split(ds, tmp_path)
+        lines = train.read_text().splitlines(keepends=True)
+        lines[lineno - 1] = bad + "\n"
+        train.write_text("".join(lines))
+        with pytest.raises(ParseError) as exc:
+            load_split(tmp_path)
+        assert (exc.value.path, exc.value.lineno) == (str(train), lineno)

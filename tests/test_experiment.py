@@ -468,7 +468,7 @@ def test_cli_train_config_defaults_come_from_train_config():
 
 def test_cli_unknown_config_key(tmp_path):
     # (file text, the failing line, a word the error must name): an unknown key, a line without
-    # '=', and values their parsers reject
+    # '=', values their parsers reject, and values that parse but that the field's check rejects
     cases = [
         ("etaa = 0.1\n", 1, "etaa"),
         ("# a comment\neta 0.1\n", 2, "eta 0.1"),
@@ -476,6 +476,9 @@ def test_cli_unknown_config_key(tmp_path):
         ("exclude_train = ture\n", 1, "exclude_train"),
         ("\nbalance_positives = 2\n", 2, "balance_positives"),
         ("k = ten\n", 1, "'k'"),
+        ("optimizer = BPOO\n", 1, "'optimizer'"),
+        ("eta = 0.1\n\nrho = 0\n", 3, "'rho'"),
+        ("repeats = 0\n", 1, "'repeats'"),
     ]
     parser = cli.build_parser()
     for text, lineno, word in cases:
@@ -487,6 +490,20 @@ def test_cli_unknown_config_key(tmp_path):
             cli.resolve_train_options(args)
         assert str(exc.value).startswith(f"{cfg_path}:{lineno}: "), text
         assert word in str(exc.value), text
+
+
+def test_cli_flag_value_errors_name_the_flag(capsys):
+    # (flags, words the argparse error must name)
+    for flags, words in [
+        (["--optimizer", "bpo"], ["--optimizer", "'bpo'", "BPR, WBPR, BPO, NBPO_O, NBPO_S, NBPO_SS"]),
+        (["--rho", "0"], ["--rho", "got 0"]),
+        (["--repeats", "0"], ["--repeats", "got 0"]),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--split-dir", "x", "--out", "y", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert all(word in err for word in words), err
 
 
 def test_cli_boolean_config_values(tmp_path):
