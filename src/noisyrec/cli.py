@@ -82,12 +82,17 @@ def load_config_file(path) -> dict:
     return values
 
 
+def add_split_flags(p: argparse.ArgumentParser):
+    """--kcore and --split-seed, each checked by the ExperimentSpec field it sets."""
+    p.add_argument("--kcore", type=TrainOption("kcore", "kcore", int).read, default=1)
+    p.add_argument("--split-seed", type=TrainOption("split_seed", "split_seed", int).read, default=0)
+
+
 def add_dataset_flags(p: argparse.ArgumentParser):
     p.add_argument("--dataset", default="split", choices=["movielens", "amazon", "split"])
     p.add_argument("--raw", default=None)
     p.add_argument("--split-dir", default=None, dest="split_dir")
-    p.add_argument("--kcore", type=int, default=1)
-    p.add_argument("--split-seed", type=int, default=0, dest="split_seed")
+    add_split_flags(p)
     p.add_argument("--out", required=True)
 
 
@@ -134,7 +139,6 @@ def build_spec(args) -> experiment.ExperimentSpec:
         split_dir=getattr(args, "split_dir", None),
         kcore=getattr(args, "kcore", 1),
         split_seed=getattr(args, "split_seed", 0),
-        method=config.optimizer.value,
         config=config,
         **{"repeat_count": 1, **_fields_of(experiment.ExperimentSpec, opts)},  # the CLI runs once by default
     )
@@ -205,8 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prep", help="ingest raw ratings, filter, split")
     p.add_argument("--dataset", choices=["movielens", "amazon"], required=True)
     p.add_argument("--raw", required=True, help="raw ratings file")
-    p.add_argument("--kcore", type=int, default=1)
-    p.add_argument("--split-seed", type=int, default=0, dest="split_seed")
+    add_split_flags(p)
     p.add_argument("--out", required=True, help="output split directory")
     p.set_defaults(func=cmd_prep)
 

@@ -90,8 +90,9 @@ class InteractionTable:
     """Sparse binary observation matrix of (user, item) positives, in CSR form.
 
     Stores the sorted, unique int64 codes u*N + i of the positives and their
-    CSR rows (``indptr``, ``indices``). ``pairs``, the degrees, ``per_user``
-    and the ``positives`` set view are derived from these on demand.
+    CSR rows (``indptr``, ``indices``). ``pairs`` and the degrees are derived
+    from these on each use; ``per_user`` and the ``positives`` set view on
+    first use, and kept.
     """
 
     def __init__(self, M: int, N: int, pairs):
@@ -114,7 +115,7 @@ class InteractionTable:
         block.flat[self.codes[self.indptr[lo] : self.indptr[hi]] - lo * self.N] = True
         return block
 
-    @cached_property
+    @property
     def pairs(self) -> np.ndarray:
         """(n, 2) int64 (user, item) rows in ascending order."""
         return np.column_stack((np.repeat(np.arange(self.M), np.diff(self.indptr)), self.indices))
@@ -312,7 +313,6 @@ def save_split(dataset: SplitDataset, directory):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"{table.M} {table.N} {dataset.seed}\n")
             for lo in range(0, len(table), _WRITE_ROWS):
-                # from the codes, not table.pairs: that would stay cached
                 rows = np.column_stack(np.divmod(table.codes[lo : lo + _WRITE_ROWS], table.N))
                 fh.write(("%d\t%d\n" * len(rows)) % tuple(rows.ravel().tolist()))
 

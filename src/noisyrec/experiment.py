@@ -29,7 +29,7 @@ class ExperimentSpec:
     split_dir: Optional[str] = None  # pre-made canonical split (dataset="split")
     kcore: int = 1
     split_seed: int = 0
-    method: str = "NBPO_SS"  # optimizer name or ITEMPOP / ITEMKNN
+    method: Optional[str] = None  # an optimizer name or ITEMPOP / ITEMKNN; None trains config.optimizer
     config: TrainConfig = field(default_factory=TrainConfig)
     knn_neighbors: int = 50
     repeat_count: int = 10
@@ -37,11 +37,19 @@ class ExperimentSpec:
     cache_dir: Optional[str] = None
 
     def __post_init__(self):
-        if self.repeat_count < 1:
-            raise ValueError(f"repeat_count must be >= 1, got {self.repeat_count}")
+        for name in ("kcore", "knn_neighbors", "repeat_count"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.split_seed < 0:
+            raise ValueError(f"split_seed must be >= 0, got {self.split_seed}")
+
+    @property
+    def optimizer(self) -> Optimizer:
+        """The optimizer a trained method runs: the one `method` names, else config.optimizer."""
+        return self.config.optimizer if self.method is None else Optimizer(self.method)
 
     def validate(self):
-        if self.method not in BASELINE_METHODS:
+        if self.method is not None and self.method not in BASELINE_METHODS:
             Optimizer(self.method)  # raises on unknown optimizer
         if self.dataset == "split":
             if not self.split_dir:
@@ -116,7 +124,7 @@ def run(spec: ExperimentSpec, dataset: Optional[corpus.SplitDataset] = None) -> 
     os.makedirs(spec.output_dir, exist_ok=True)
 
     summary = {
-        "method": spec.method,
+        "method": spec.method or spec.optimizer.value,
         "dataset": spec.dataset,
         "kcore": spec.kcore,
         "split_seed": spec.split_seed,
@@ -126,10 +134,11 @@ def run(spec: ExperimentSpec, dataset: Optional[corpus.SplitDataset] = None) -> 
     if spec.method in BASELINE_METHODS:
         summary["repeats"] = [_run_baseline(spec, dataset)]
     else:
-        summary["config"] = config_to_dict(spec.config)
+        config = replace(spec.config, optimizer=spec.optimizer)
+        summary["config"] = config_to_dict(config)
         repeats = []
         for rep in range(spec.repeat_count):
-            cfg = replace(spec.config, optimizer=Optimizer(spec.method), seed=spec.config.seed + rep)
+            cfg = replace(config, seed=config.seed + rep)
             history = train(dataset, cfg, exclude_train=spec.exclude_train)
             if history.best_epoch < 0:
                 raise ValueError(f"{cfg.optimizer.value} seed {cfg.seed} diverged at epoch 0: no snapshot to test")
@@ -269,9 +278,8 @@ def grid_search(
         raise ValueError(f"unknown grid stage {unknown[0]!r}; valid stages: {','.join(ALL_STAGES)}")
     if dataset is None:
         dataset = prepare(spec)
-    optimizer = Optimizer(spec.method)
-    noise_aware = optimizer in NOISE_AWARE
-    best = replace(spec.config, optimizer=optimizer)
+    best = replace(spec.config, optimizer=spec.optimizer)
+    noise_aware = best.optimizer in NOISE_AWARE
     table: List[dict] = []
     for stage in STAGES:
         if stage.name not in stages or (stage.noise_aware_only and not noise_aware):

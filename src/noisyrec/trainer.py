@@ -62,7 +62,7 @@ class TrainConfig:
         for name in ("rho", "batch_size", "max_epochs", "K"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("L", "lambda_theta", "lambda_phi"):
+        for name in ("L", "lambda_theta", "lambda_phi", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.patience is not None and self.patience < 0:
@@ -182,37 +182,39 @@ class _BatchSampler:
 # (the scalar multipliers of the embedding rows)
 
 
-def _point_terms(optimizer: Optimizer, r_pos, g_pos, r_neg, g_neg):
-    """(value, c_theta_pos, c_phi_pos, c_theta_neg, c_phi_neg) for point-wise variants.
+def _point_terms(optimizer: Optimizer, r, g, n: int):
+    """(value, c_theta, c_phi) over a step's rows: scores r, flip logits g, the n positives first.
 
-    value is the unregularized objective of the terms, as a float.
+    value is the unregularized objective of the rows, as a float; c_phi is
+    None for BPO.
     """
+    pos, neg = slice(None, n), slice(n, None)
     if optimizer == Optimizer.BPO:
-        value = float(np.sum(log_sigmoid(r_pos)) + np.sum(log_sigmoid(-r_neg)))
-        return value, sigmoid(-r_pos), None, -sigmoid(r_neg), None
+        x = np.concatenate([r[pos], -r[neg]])  # each row's score signed by its label
+        ls = log_sigmoid(x)
+        c_theta = sigmoid(-x)
+        c_theta[neg] *= -1
+        return float(np.sum(ls[pos]) + np.sum(ls[neg])), c_theta, None
     if optimizer == Optimizer.NBPO_O:
         # the negative term's mixture sigma(-r) + sigma(g) sigma(r) in log space:
         # both parts underflow together at saturated logits
-        ls_r, ls_mr = log_sigmoid(r_neg), log_sigmoid(-r_neg)
-        ls_g, ls_mg = log_sigmoid(g_neg), log_sigmoid(-g_neg)
-        log_mix = np.logaddexp(ls_mr, ls_g + ls_r)
-        value = float(np.sum(log_sigmoid(-g_pos) + log_sigmoid(r_pos)) + np.sum(log_mix))
-        ct_neg = -np.exp(ls_r + ls_mr + ls_mg - log_mix)
-        cp_neg = np.exp(ls_g + ls_mg + ls_r - log_mix)
-        return value, sigmoid(-r_pos), -sigmoid(g_pos), ct_neg, cp_neg
+        ls_r, ls_mr = log_sigmoid(r), log_sigmoid(-r)
+        ls_g, ls_mg = log_sigmoid(g), log_sigmoid(-g)
+        log_mix = np.logaddexp(ls_mr[neg], ls_g[neg] + ls_r[neg])
+        value = float(np.sum(ls_mg[pos] + ls_r[pos]) + np.sum(log_mix))
+        c_theta = np.concatenate([sigmoid(-r[pos]), -np.exp(ls_r[neg] + ls_mr[neg] + ls_mg[neg] - log_mix)])
+        c_phi = np.concatenate([-sigmoid(g[pos]), np.exp(ls_g[neg] + ls_mg[neg] + ls_r[neg] - log_mix)])
+        return value, c_theta, c_phi
     if optimizer in (Optimizer.NBPO_S, Optimizer.NBPO_SS):
+        sr, smr, sg, smg = sigmoid(r), sigmoid(-r), sigmoid(g), sigmoid(-g)
         # surrogate likelihood: raw probabilities summed, not their logs
-        pos = np.sum(sigmoid(-g_pos) * sigmoid(r_pos))
-        neg = np.sum(sigmoid(-r_neg) + sigmoid(g_neg) * sigmoid(r_neg))
-        if optimizer == Optimizer.NBPO_S:
-            ct_pos = sigmoid(-g_pos) * sigmoid(r_pos) * sigmoid(-r_pos)
-            cp_pos = -sigmoid(g_pos) * sigmoid(-g_pos) * sigmoid(r_pos)
-            ct_neg = -sigmoid(r_neg) * sigmoid(-r_neg) * sigmoid(-g_neg)
-            cp_neg = sigmoid(g_neg) * sigmoid(-g_neg) * sigmoid(r_neg)
-        else:
-            ct_pos, cp_pos = surrogate_coefficients_vec(np.ones_like(r_pos), r_pos, g_pos)
-            ct_neg, cp_neg = surrogate_coefficients_vec(np.zeros_like(r_neg), r_neg, g_neg)
-        return float(pos + neg), ct_pos, cp_pos, ct_neg, cp_neg
+        value = float(np.sum(smg[pos] * sr[pos]) + np.sum(smr[neg] + sg[neg] * sr[neg]))
+        if optimizer == Optimizer.NBPO_SS:
+            return (value, *surrogate_coefficients_vec(np.arange(len(r)) < n, r, g))
+        c_theta = np.concatenate([smg[pos] * sr[pos] * smr[pos], -sr[neg] * smr[neg] * smg[neg]])
+        c_phi = sg * smg * sr
+        c_phi[pos] *= -1
+        return value, c_theta, c_phi
     raise ValueError(f"{optimizer} is not a point-wise optimizer")
 
 
@@ -281,28 +283,24 @@ def point_step(theta: PreferenceParams, phi: Optional[NoiseParams], batch: Batch
     else:
         g = np.zeros_like(r)
 
-    value, ct_pos, cp_pos, ct_neg, cp_neg = _point_terms(
-        config.optimizer, r[:n], g[:n], r[n:], g[n:]
-    )
+    value, ct, cp = _point_terms(config.optimizer, r, g, n)
     if config.balance_positives:
-        ct_pos = ct_pos * rho
-        if cp_pos is not None:
-            cp_pos = cp_pos * rho
+        ct[:n] *= rho
+        if cp is not None:
+            cp[:n] *= rho
 
     # theta and phi share the rows, so they share the slots
     touched_u, slot_u = _slots(users, theta.U.shape[0])
     touched_i, slot_i = _slots(items, theta.V.shape[0])
 
     # the gathered rows become the gradients in place: dU = c * V, dV = c * U
-    ct = np.concatenate([ct_pos, ct_neg])[:, None]
-    Vb *= ct
-    Ub *= ct
+    Vb *= ct[:, None]
+    Ub *= ct[:, None]
     _apply_sparse(theta.U, slot_u, Vb, config.eta, config.lambda_theta, touched_u)
     _apply_sparse(theta.V, slot_i, Ub, config.eta, config.lambda_theta, touched_i)
-    if has_phi and cp_pos is not None:
-        cp = np.concatenate([cp_pos, cp_neg])[:, None]
-        Qb *= cp
-        Pb *= cp
+    if has_phi and cp is not None:
+        Qb *= cp[:, None]
+        Pb *= cp[:, None]
         _apply_sparse(phi.P, slot_u, Qb, config.eta, config.lambda_phi, touched_u)
         _apply_sparse(phi.Q, slot_i, Pb, config.eta, config.lambda_phi, touched_i)
     return value
@@ -349,38 +347,23 @@ def dense_gradient(optimizer: Optimizer, terms, theta: PreferenceParams, phi: No
     central finite differences of the corresponding objective function.
     For NBPO_SS this is the surrogate direction, not a true gradient.
     """
-    labels = np.array([t.label for t in terms])
+    terms = [t for t in terms if t.label == 1] + [t for t in terms if t.label == 0]
     users = np.array([t.u for t in terms])
     items = np.array([t.i for t in terms])
     r = np.array([t.score for t in terms], dtype=float)
     g = np.array([t.noise_logit for t in terms], dtype=float)
+    _, ct, cp = _point_terms(optimizer, r, g, sum(t.label for t in terms))
 
-    pos = labels == 1
-    ct = np.empty_like(r)
-    cp = np.empty_like(r)
-    _, ct_pos, cp_pos, ct_neg, cp_neg = _point_terms(optimizer, r[pos], g[pos], r[~pos], g[~pos])
-    ct[pos], ct[~pos] = ct_pos, ct_neg
-    if cp_pos is not None:
-        cp[pos], cp[~pos] = cp_pos, cp_neg
-    else:
-        cp[:] = 0.0
-
-    dU = np.zeros_like(theta.U)
-    dV = np.zeros_like(theta.V)
-    np.add.at(dU, users, ct[:, None] * theta.V[items])
-    np.add.at(dV, items, ct[:, None] * theta.U[users])
-    dU -= reg.lambda_theta * theta.U
-    dV -= reg.lambda_theta * theta.V
-
-    dP = np.zeros_like(phi.P)
-    dQ = np.zeros_like(phi.Q)
-    if phi.L > 0 and optimizer != Optimizer.BPO:
-        np.add.at(dP, users, cp[:, None] * phi.Q[items])
-        np.add.at(dQ, items, cp[:, None] * phi.P[users])
-    if optimizer != Optimizer.BPO:
-        dP -= reg.lambda_phi * phi.P
-        dQ -= reg.lambda_phi * phi.Q
-    return dU, dV, dP, dQ
+    grads = []
+    for (A, B), c, lam in (((theta.U, theta.V), ct, reg.lambda_theta), ((phi.P, phi.Q), cp, reg.lambda_phi)):
+        dA, dB = np.zeros_like(A), np.zeros_like(B)
+        if c is not None:  # BPO has no phi term
+            np.add.at(dA, users, c[:, None] * B[items])
+            np.add.at(dB, items, c[:, None] * A[users])
+            dA -= lam * A
+            dB -= lam * B
+        grads += [dA, dB]
+    return tuple(grads)
 
 
 # ---------------------------------------------------------------------------

@@ -332,9 +332,11 @@ def test_save_load_split_roundtrip(tmp_path):
 
 
 def test_save_split_leaves_no_pairs_cache(tmp_path):
-    ds = split(random_table(np.random.default_rng(9), M=10, N=8, density=0.5), seed=3)
+    raw = random_table(np.random.default_rng(9), M=10, N=8, density=0.5)
+    filtered = kcore_filter(raw, 2)
+    ds = split(filtered, seed=3)
     save_split(ds, tmp_path / "ds")
-    for table in (ds.train, ds.validation, ds.test):
+    for table in (raw, filtered, ds.train, ds.validation, ds.test):
         assert "pairs" not in table.__dict__
 
 

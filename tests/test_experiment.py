@@ -12,7 +12,7 @@ from noisyrec import cli, corpus, experiment
 from noisyrec.corpus import InteractionTable, save_split, split
 from noisyrec.experiment import ExperimentSpec, GridSpec, fine_values, grid_search, run
 from noisyrec.model import InitSpec, init_params, save_checkpoint
-from noisyrec.trainer import TrainConfig
+from noisyrec.trainer import Optimizer, TrainConfig
 
 
 def write_tiny_split(tmp_path):
@@ -114,6 +114,31 @@ def test_run_rejects_divergence_in_first_epoch(tmp_path):
     )
     with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="BPO seed 0 diverged at epoch 0"):
         run(spec)
+
+
+def test_spec_without_method_trains_config_optimizer(tmp_path):
+    split_dir = write_tiny_split(tmp_path)
+
+    def spec(name, **kw):
+        return ExperimentSpec(output_dir=str(tmp_path / name), dataset="split", split_dir=split_dir,
+                              config=tiny_config(optimizer="BPO"), repeat_count=1, **kw)
+
+    summary = run(spec("unnamed"))
+    assert summary["method"] == "BPO" and summary["config"]["optimizer"] == "BPO"
+    run(spec("named", method="BPO"))
+    csv = "epochs_seed0.csv"
+    assert (tmp_path / "unnamed" / csv).read_bytes() == (tmp_path / "named" / csv).read_bytes()
+    best, _ = grid_search(spec("grid"), GridSpec(coarse_eta=(0.05,), coarse_lambda=(0.01,)), stages=("coarse",))
+    assert best.optimizer == Optimizer.BPO
+
+
+def test_run_records_the_optimizer_that_trained(tmp_path):
+    # the method wins over the config's optimizer (NBPO_SS here), and summary.json says so
+    spec = ExperimentSpec(output_dir=str(tmp_path / "out"), dataset="split", split_dir=write_tiny_split(tmp_path),
+                          method="BPO", config=tiny_config(), repeat_count=1)
+    run(spec)
+    on_disk = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert on_disk["method"] == "BPO" and on_disk["config"]["optimizer"] == "BPO"
 
 
 def test_run_determinism_byte_identical(tmp_path):
@@ -327,6 +352,22 @@ def test_grid_results_identical_with_two_workers(tmp_path, monkeypatch):
     assert once(2) == serial
 
 
+def test_grid_cell_diverging_in_first_epoch_scores_zero(tmp_path):
+    spec = ExperimentSpec(
+        output_dir=str(tmp_path / "out"),
+        dataset="split",
+        split_dir=write_tiny_split(tmp_path),
+        method="BPO",
+        config=tiny_config(optimizer="BPO", batch_size=4),
+        repeat_count=1,
+    )
+    # the first cell (eta 1e3) leaves no evaluated epoch; the second wins on its own score
+    with pytest.warns(RuntimeWarning, match="BPO diverged at epoch 0"):
+        best, table = grid_search(spec, GridSpec(coarse_eta=(1e3, 0.1), coarse_lambda=(0.01,)), stages=("coarse",))
+    assert table[0]["val_f1@2"] == 0.0 and table[1]["val_f1@2"] > 0.0
+    assert best.eta == 0.1
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
 def test_grid_rejects_bad_worker_count(tmp_path, monkeypatch, value):
     monkeypatch.setenv("NOISYREC_WORKERS", value)
@@ -494,16 +535,25 @@ def test_cli_unknown_config_key(tmp_path):
 
 def test_cli_flag_value_errors_name_the_flag(capsys):
     # (flags, words the argparse error must name)
-    for flags, words in [
+    cases = [
         (["--optimizer", "bpo"], ["--optimizer", "'bpo'", "BPR, WBPR, BPO, NBPO_O, NBPO_S, NBPO_SS"]),
         (["--rho", "0"], ["--rho", "got 0"]),
         (["--repeats", "0"], ["--repeats", "got 0"]),
-    ]:
+        (["--seed", "-5"], ["--seed", "got -5"]),
+        (["--kcore", "0"], ["--kcore", "got 0"]),
+        (["--kcore", "-3"], ["--kcore", "got -3"]),
+        (["--split-seed", "-1"], ["--split-seed", "got -1"]),
+    ]
+    runs = [([command, "--split-dir", "x", "--out", "y", *flags], words)
+            for flags, words in cases for command in ("train", "grid")]
+    runs += [(["prep", "--dataset", "movielens", "--raw", "x", "--out", "y", *flags], words)
+             for flags, words in cases if flags[0] in ("--kcore", "--split-seed")]
+    for argv, words in runs:
         with pytest.raises(SystemExit) as exc:
-            cli.main(["train", "--split-dir", "x", "--out", "y", *flags])
-        assert exc.value.code == 2
+            cli.main(argv)
+        assert exc.value.code == 2, argv
         err = capsys.readouterr().err
-        assert all(word in err for word in words), err
+        assert all(word in err for word in words), (argv, err)
 
 
 def test_cli_boolean_config_values(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from noisyrec.corpus import InteractionTable, SplitDataset, sorted_unique, split
+from noisyrec.experiment import ExperimentSpec
 from noisyrec.model import PreferenceParams
 from noisyrec.objective import (
     bpo_loglik,
@@ -283,16 +284,14 @@ def test_point_terms_finite_at_saturated_logits():
     for optimizer in Optimizer:
         if optimizer in PAIRWISE:
             continue
-        value, *coefficients = _point_terms(optimizer, r, g, r, g)
+        value, *coefficients = _point_terms(optimizer, np.concatenate([r, r]), np.concatenate([g, g]), len(r))
         assert np.isfinite(value), optimizer
         for c in coefficients:
             assert c is None or np.all(np.isfinite(c)), optimizer
 
     # NBPO_O negative at r=800, g=-800: both mixture parts are ~exp(-800)
-    _, _, _, ct_neg, cp_neg = _point_terms(
-        Optimizer.NBPO_O, np.zeros(0), np.zeros(0), np.array([800.0]), np.array([-800.0])
-    )
-    assert ct_neg[0] == pytest.approx(-0.5) and cp_neg[0] == pytest.approx(0.5)
+    _, ct, cp = _point_terms(Optimizer.NBPO_O, np.array([800.0]), np.array([-800.0]), 0)
+    assert ct[0] == pytest.approx(-0.5) and cp[0] == pytest.approx(0.5)
 
     # pairwise: r_ui - r_uj reaches +-2e3
     for pos_i, neg_j in ((0, 1), (1, 0)):
@@ -335,7 +334,10 @@ def reference_point_step(theta, phi, batch, config):
     else:
         g_pos = np.zeros_like(r_pos)
         g_neg = np.zeros_like(r_neg)
-    value, ct_pos, cp_pos, ct_neg, cp_neg = _point_terms(config.optimizer, r_pos, g_pos, r_neg, g_neg)
+    n = len(r_pos)
+    value, ct, cp = _point_terms(config.optimizer, np.concatenate([r_pos, r_neg]), np.concatenate([g_pos, g_neg]), n)
+    ct_pos, ct_neg = ct[:n], ct[n:]
+    cp_pos, cp_neg = (None, None) if cp is None else (cp[:n], cp[n:])
     if config.balance_positives:
         ct_pos = ct_pos * config.rho
         if cp_pos is not None:
@@ -505,10 +507,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(optimizer="NOPE")
     bad = {"max_epochs": 0, "K": 0, "L": -1, "lambda_theta": -0.1, "lambda_phi": -1e-9,
-           "patience": -1, "rho": 0, "batch_size": 0, "eta": -0.5, "init_scale": 0.0}
+           "patience": -1, "rho": 0, "batch_size": 0, "eta": -0.5, "init_scale": 0.0, "seed": -5}
     for name, value in bad.items():
         with pytest.raises(ValueError, match=rf"^{name} must be .*{value}"):
             TrainConfig(**{name: value})
+    for name, value in {"kcore": 0, "split_seed": -1, "knn_neighbors": 0, "repeat_count": 0}.items():
+        with pytest.raises(ValueError, match=rf"^{name} must be .*{value}"):
+            ExperimentSpec("out", **{name: value})
     with pytest.raises(ValueError, match=r"^init_scale must be positive, got -1.0"):
         TrainConfig(init_scale=-1.0)
     TrainConfig(max_epochs=1, K=1, L=0, lambda_theta=0.0, lambda_phi=0.0, patience=0)
