@@ -89,7 +89,7 @@ def add_split_flags(p: argparse.ArgumentParser):
 
 
 def add_dataset_flags(p: argparse.ArgumentParser):
-    p.add_argument("--dataset", default="split", choices=["movielens", "amazon", "split"])
+    p.add_argument("--dataset", default="split", choices=experiment.DATASETS)
     p.add_argument("--raw", default=None)
     p.add_argument("--split-dir", default=None, dest="split_dir")
     add_split_flags(p)
@@ -135,10 +135,10 @@ def build_spec(args) -> experiment.ExperimentSpec:
     return experiment.ExperimentSpec(
         output_dir=args.out,
         dataset=args.dataset,
-        raw_path=getattr(args, "raw", None),
-        split_dir=getattr(args, "split_dir", None),
-        kcore=getattr(args, "kcore", 1),
-        split_seed=getattr(args, "split_seed", 0),
+        raw_path=args.raw,
+        split_dir=args.split_dir,
+        kcore=args.kcore,
+        split_seed=args.split_seed,
         config=config,
         **{"repeat_count": 1, **_fields_of(experiment.ExperimentSpec, opts)},  # the CLI runs once by default
     )
@@ -162,7 +162,7 @@ def cmd_grid(args):
     spec = build_spec(args)
     stages = args.stage.split(",") if args.stage else None
     best, table = experiment.grid_search(spec, experiment.GridSpec(), stages=stages)
-    print(json.dumps(experiment.config_to_dict(best), indent=2, sort_keys=True))
+    print(json.dumps(dataclasses.asdict(best), indent=2, sort_keys=True))
     print(f"{len(table)} cells evaluated; results in {spec.output_dir}/grid_results.csv")
 
 
@@ -190,13 +190,18 @@ def cmd_plots(args):
     with open(args.results, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
         table = []
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             vals = line.rstrip("\n").split(",")
+            if len(vals) != len(header):
+                raise corpus.ParseError(args.results, lineno, f"expected {len(header)} fields, got {len(vals)}")
             table.append({k: v for k, v in zip(header, vals) if v != ""})
     summaries = []
     for path in args.summary or []:
         with open(path, "r", encoding="utf-8") as fh:
-            summaries.append(json.load(fh))
+            summary = json.load(fh)
+        if not (isinstance(summary, dict) and {"method", "mean_test"} <= summary.keys()):
+            raise ValueError(f"{path} is not a run summary: it needs 'method' and 'mean_test'")
+        summaries.append(summary)
     written = experiment.emit_plots(table, args.out, summaries or None)
     for path in written:
         print(path)
@@ -228,9 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint or baseline on a split")
     p.add_argument("--split-dir", required=True, dest="split_dir")
     p.add_argument("--split", default="test", choices=["validation", "test"])
-    p.add_argument("--method", default="checkpoint", choices=["checkpoint", "ITEMPOP", "ITEMKNN"])
+    p.add_argument("--method", default="checkpoint", choices=("checkpoint", *experiment.BASELINE_METHODS))
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--neighbors", type=int, default=50)
+    p.add_argument("--neighbors", type=TrainOption("knn_neighbors", "knn_neighbors", int).read, default=50)
     p.add_argument("--no-exclude-train", action="store_true")
     p.set_defaults(func=cmd_eval)
 

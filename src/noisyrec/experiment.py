@@ -19,17 +19,20 @@ from noisyrec.evaluation import EVAL_KS, evaluate, mf_scorer
 from noisyrec.trainer import NOISE_AWARE, Optimizer, TrainConfig, train
 
 BASELINE_METHODS = ("ITEMPOP", "ITEMKNN")
+DATASETS = ("movielens", "amazon", "split")
 
 
 @dataclass
 class ExperimentSpec:
+    """One experiment, checked when it is made; for a trained method, `config` is what trains."""
+
     output_dir: str
-    dataset: str = "movielens"  # "movielens" | "amazon" | "split"
-    raw_path: Optional[str] = None
+    dataset: str = "movielens"  # one of DATASETS
+    raw_path: Optional[str] = None  # raw ratings file (dataset="movielens" or "amazon")
     split_dir: Optional[str] = None  # pre-made canonical split (dataset="split")
     kcore: int = 1
     split_seed: int = 0
-    method: Optional[str] = None  # an optimizer name or ITEMPOP / ITEMKNN; None trains config.optimizer
+    method: Optional[str] = None  # ITEMPOP / ITEMKNN, or an optimizer name that replaces config.optimizer
     config: TrainConfig = field(default_factory=TrainConfig)
     knn_neighbors: int = 50
     repeat_count: int = 10
@@ -42,23 +45,10 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.split_seed < 0:
             raise ValueError(f"split_seed must be >= 0, got {self.split_seed}")
-
-    @property
-    def optimizer(self) -> Optimizer:
-        """The optimizer a trained method runs: the one `method` names, else config.optimizer."""
-        return self.config.optimizer if self.method is None else Optimizer(self.method)
-
-    def validate(self):
+        if self.dataset not in DATASETS:
+            raise ValueError(f"unknown dataset {self.dataset!r}; valid: {', '.join(DATASETS)}")
         if self.method is not None and self.method not in BASELINE_METHODS:
-            Optimizer(self.method)  # raises on unknown optimizer
-        if self.dataset == "split":
-            if not self.split_dir:
-                raise ValueError("dataset='split' requires split_dir")
-        elif self.dataset in ("movielens", "amazon"):
-            if not self.raw_path:
-                raise ValueError(f"dataset='{self.dataset}' requires raw_path")
-        else:
-            raise ValueError(f"unknown dataset {self.dataset!r}")
+            self.config = replace(self.config, optimizer=self.method)  # an unknown name raises here
 
 
 def _content_hash(spec: ExperimentSpec) -> str:
@@ -81,9 +71,12 @@ def build_split(dataset: str, raw_path, kcore: int, split_seed: int) -> corpus.S
 
 def prepare(spec: ExperimentSpec) -> corpus.SplitDataset:
     """build_split for the spec's raw file, cached by content hash; or the spec's split files."""
-    spec.validate()
     if spec.dataset == "split":
+        if not spec.split_dir:
+            raise ValueError("dataset='split' requires split_dir")
         return corpus.load_split(spec.split_dir)
+    if not spec.raw_path:
+        raise ValueError(f"dataset='{spec.dataset}' requires raw_path")
     cache_dir = spec.cache_dir or os.path.join(spec.output_dir, "cache")
     key = _content_hash(spec)
     cached = os.path.join(cache_dir, key)
@@ -118,13 +111,12 @@ def _run_baseline(spec: ExperimentSpec, dataset: corpus.SplitDataset) -> dict:
 
 def run(spec: ExperimentSpec, dataset: Optional[corpus.SplitDataset] = None) -> dict:
     """Execute one experiment: repeat_count seeded runs, per-epoch CSVs, summary JSON."""
-    spec.validate()
     if dataset is None:
         dataset = prepare(spec)
     os.makedirs(spec.output_dir, exist_ok=True)
 
     summary = {
-        "method": spec.method or spec.optimizer.value,
+        "method": spec.method or spec.config.optimizer.value,
         "dataset": spec.dataset,
         "kcore": spec.kcore,
         "split_seed": spec.split_seed,
@@ -134,11 +126,10 @@ def run(spec: ExperimentSpec, dataset: Optional[corpus.SplitDataset] = None) -> 
     if spec.method in BASELINE_METHODS:
         summary["repeats"] = [_run_baseline(spec, dataset)]
     else:
-        config = replace(spec.config, optimizer=spec.optimizer)
-        summary["config"] = config_to_dict(config)
+        summary["config"] = dataclasses.asdict(spec.config)
         repeats = []
         for rep in range(spec.repeat_count):
-            cfg = replace(config, seed=config.seed + rep)
+            cfg = replace(spec.config, seed=spec.config.seed + rep)
             history = train(dataset, cfg, exclude_train=spec.exclude_train)
             if history.best_epoch < 0:
                 raise ValueError(f"{cfg.optimizer.value} seed {cfg.seed} diverged at epoch 0: no snapshot to test")
@@ -170,12 +161,6 @@ def run(spec: ExperimentSpec, dataset: Optional[corpus.SplitDataset] = None) -> 
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary
-
-
-def config_to_dict(config: TrainConfig) -> dict:
-    d = dataclasses.asdict(config)
-    d["optimizer"] = config.optimizer.value
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +200,6 @@ STAGES = (
     Stage("L", "l_sweep.csv", ("L_range", "L"), noise_aware_only=True),
 )
 ALL_STAGES = tuple(stage.name for stage in STAGES)
-STAGE_FILES = {stage.name: stage.plot_file for stage in STAGES}
 
 
 def fine_values(v: float) -> List[float]:
@@ -269,7 +253,6 @@ def grid_search(
     only). Ties go to the earlier cell in enumeration order. An unknown stage
     name raises ValueError before any cell trains.
     """
-    spec.validate()
     if spec.method in BASELINE_METHODS:
         raise ValueError("grid search applies to trained optimizers only")
     stages = list(stages) if stages is not None else list(ALL_STAGES)
@@ -278,7 +261,7 @@ def grid_search(
         raise ValueError(f"unknown grid stage {unknown[0]!r}; valid stages: {','.join(ALL_STAGES)}")
     if dataset is None:
         dataset = prepare(spec)
-    best = replace(spec.config, optimizer=spec.optimizer)
+    best = spec.config
     noise_aware = best.optimizer in NOISE_AWARE
     table: List[dict] = []
     for stage in STAGES:
@@ -294,7 +277,7 @@ def grid_search(
     os.makedirs(spec.output_dir, exist_ok=True)
     _write_results_table(table, os.path.join(spec.output_dir, "grid_results.csv"))
     with open(os.path.join(spec.output_dir, "grid_best.json"), "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(best), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(best), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return best, table
 
@@ -323,11 +306,11 @@ def emit_plots(table: List[dict], outdir: str, summaries: Optional[List[dict]] =
     """
     os.makedirs(outdir, exist_ok=True)
     written = []
-    for stage, fname in STAGE_FILES.items():
-        rows = [r for r in table if r.get("stage") == stage]
+    for stage in STAGES:
+        rows = [r for r in table if r.get("stage") == stage.name]
         if not rows:
             continue
-        path = os.path.join(outdir, fname)
+        path = os.path.join(outdir, stage.plot_file)
         _write_results_table(rows, path)
         written.append(path)
     if summaries:

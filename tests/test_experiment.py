@@ -10,7 +10,7 @@ import pytest
 
 from noisyrec import cli, corpus, experiment
 from noisyrec.corpus import InteractionTable, save_split, split
-from noisyrec.experiment import ExperimentSpec, GridSpec, fine_values, grid_search, run
+from noisyrec.experiment import ExperimentSpec, GridSpec, desk_preset, fine_values, grid_search, prepare, run
 from noisyrec.model import InitSpec, init_params, save_checkpoint
 from noisyrec.trainer import Optimizer, TrainConfig
 
@@ -177,15 +177,52 @@ def test_run_baseline_methods(tmp_path):
 
 
 def test_run_invalid_config_fails_before_training(tmp_path):
-    spec = ExperimentSpec(
-        output_dir=str(tmp_path / "out"),
-        dataset="split",
-        split_dir="nowhere",
-        method="NOT_A_METHOD",
-    )
     with pytest.raises(ValueError, match="NOT_A_METHOD"):
+        spec = ExperimentSpec(
+            output_dir=str(tmp_path / "out"),
+            dataset="split",
+            split_dir="nowhere",
+            method="NOT_A_METHOD",
+        )
         run(spec)
     assert not os.path.exists(tmp_path / "out")
+
+
+def test_spec_rejects_unknown_dataset_and_method_when_made(tmp_path):
+    out = str(tmp_path / "out")
+    with pytest.raises(ValueError, match="unknown dataset 'movielense'; valid: movielens, amazon, split"):
+        ExperimentSpec(out, dataset="movielense", raw_path="ratings.dat")
+    with pytest.raises(ValueError, match="'bpo' is not an optimizer; valid: BPR, WBPR, BPO"):
+        ExperimentSpec(out, dataset="split", split_dir="nowhere", method="bpo")
+    assert os.listdir(tmp_path) == []
+
+
+def test_spec_method_sets_the_config_that_trains(tmp_path):
+    spec = ExperimentSpec(str(tmp_path / "a"), method="BPO", config=desk_preset())
+    assert spec.config.optimizer is Optimizer.BPO
+    assert spec.config == replace(desk_preset(), optimizer=Optimizer.BPO)
+    assert replace(spec, output_dir=str(tmp_path / "b")).config.optimizer is Optimizer.BPO
+    for method in (None, *experiment.BASELINE_METHODS):
+        assert ExperimentSpec(str(tmp_path / "c"), method=method, config=desk_preset()).config == desk_preset()
+
+
+def test_prepare_names_the_missing_path(tmp_path):
+    with pytest.raises(ValueError, match="dataset='split' requires split_dir"):
+        prepare(ExperimentSpec(str(tmp_path / "out"), dataset="split"))
+    with pytest.raises(ValueError, match="dataset='amazon' requires raw_path"):
+        prepare(ExperimentSpec(str(tmp_path / "out"), dataset="amazon"))
+    assert os.listdir(tmp_path) == []
+
+
+def test_run_and_grid_with_a_dataset_need_no_path(tmp_path):
+    ds = corpus.load_split(write_tiny_split(tmp_path))
+    spec = ExperimentSpec(str(tmp_path / "out"), dataset="split", method="BPO",
+                          config=tiny_config(max_epochs=1), repeat_count=1)
+    assert run(spec, dataset=ds)["method"] == "BPO"
+    best, _ = grid_search(spec, GridSpec(coarse_eta=(0.05,), coarse_lambda=(0.01,)), stages=("coarse",), dataset=ds)
+    assert best.optimizer is Optimizer.BPO
+    assert sorted(os.listdir(tmp_path / "out")) == ["epochs_seed0.csv", "grid_best.json", "grid_results.csv",
+                                                    "summary.json"]
 
 
 def test_prepare_caching_byte_identical(tmp_path):
@@ -543,11 +580,13 @@ def test_cli_flag_value_errors_name_the_flag(capsys):
         (["--kcore", "0"], ["--kcore", "got 0"]),
         (["--kcore", "-3"], ["--kcore", "got -3"]),
         (["--split-seed", "-1"], ["--split-seed", "got -1"]),
+        (["--lambda-theta", "nan"], ["--lambda-theta", "lambda_theta must be finite, got nan"]),
     ]
     runs = [([command, "--split-dir", "x", "--out", "y", *flags], words)
             for flags, words in cases for command in ("train", "grid")]
     runs += [(["prep", "--dataset", "movielens", "--raw", "x", "--out", "y", *flags], words)
              for flags, words in cases if flags[0] in ("--kcore", "--split-seed")]
+    runs += [(["eval", "--split-dir", "x", "--neighbors", "0"], ["--neighbors", "knn_neighbors must be >= 1, got 0"])]
     for argv, words in runs:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -575,6 +614,24 @@ def test_cli_boolean_config_values(tmp_path):
     # without file or flags: TrainConfig's and ExperimentSpec's defaults, and one repeat
     spec = cli.build_spec(parser.parse_args(["train", "--split-dir", "x", "--out", "y"]))
     assert spec.exclude_train is True and spec.repeat_count == 1 and spec.config == TrainConfig()
+
+
+def test_cli_plots_rejects_ragged_results_row(tmp_path, capsys):
+    results = tmp_path / "grid_results.csv"
+    results.write_text("stage,rho,val_f1@2\nrho,1,0.5\nrho,2\n")
+    assert cli.main(["plots", "--results", str(results), "--out", str(tmp_path / "plots")]) == 2
+    assert f"{results}:3: expected 3 fields, got 2" in capsys.readouterr().err
+
+
+def test_cli_plots_rejects_summary_without_mean_test(tmp_path, capsys):
+    results = tmp_path / "grid_results.csv"
+    results.write_text("stage,rho,val_f1@2\nrho,1,0.5\n")
+    summary = tmp_path / "summary.json"
+    summary.write_text('{"method": "BPO"}\n')
+    assert cli.main(["plots", "--results", str(results), "--summary", str(summary),
+                     "--out", str(tmp_path / "plots")]) == 2
+    err = capsys.readouterr().err
+    assert str(summary) in err and "'mean_test'" in err
 
 
 def test_cli_grid_rejects_unknown_stage(tmp_path, capsys):

@@ -13,6 +13,7 @@ from noisyrec.objective import (
     nbpo_loglik,
     nbpo_surrogate,
     sigmoid,
+    surrogate_coefficients_vec,
 )
 from noisyrec.trainer import (
     PAIRWISE,
@@ -165,6 +166,18 @@ def test_nbpo_ss_step_coefficients():
     assert np.allclose(theta.V[1], V0[1] + eta * ct1 * U0[0], atol=1e-12)
     assert np.allclose(phi.P[0], P0[0] + eta * (cp1 * Q0[1] + cp2 * Q0[2]), atol=1e-12)
     assert np.allclose(phi.Q[2], Q0[2] + eta * cp2 * P0[0], atol=1e-12)
+
+
+def test_nbpo_ss_point_terms_equal_surrogate_coefficients_vec():
+    # the step's NBPO_SS coefficients are the ones criterion 02 checks in closed form, bit for bit
+    rng = np.random.default_rng(18)
+    for _ in range(200):
+        m = int(rng.integers(1, 40))
+        n = int(rng.integers(0, m + 1))
+        r, g = rng.normal(scale=10.0 ** rng.uniform(-1, 3), size=(2, m))
+        _, ct, cp = _point_terms(Optimizer.NBPO_SS, r, g, n)
+        want_ct, want_cp = surrogate_coefficients_vec(np.arange(m) < n, r, g)
+        assert np.array_equal(ct, want_ct) and np.array_equal(cp, want_cp), (m, n)
 
 
 def test_nbpo_ss_l0_matches_degenerate_closed_form():
@@ -516,6 +529,10 @@ def test_config_validation():
             ExperimentSpec("out", **{name: value})
     with pytest.raises(ValueError, match=r"^init_scale must be positive, got -1.0"):
         TrainConfig(init_scale=-1.0)
+    for name in ("eta", "init_scale", "lambda_theta", "lambda_phi"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value}$"):
+                TrainConfig(**{name: value})
     TrainConfig(max_epochs=1, K=1, L=0, lambda_theta=0.0, lambda_phi=0.0, patience=0)
 
 
