@@ -91,7 +91,9 @@ def itemknn_scorer(model: ItemKnnModel, train: InteractionTable) -> Callable:
 
 
 def baseline_scorer(method: str, train: InteractionTable, neighbors: int = 50) -> Callable:
-    """The scorer of an "ITEMPOP" model, or else an "ITEMKNN" one (`neighbors` per item), fitted on `train`."""
+    """The scorer of an "ITEMPOP" or "ITEMKNN" model (`neighbors` per item), fitted on `train`."""
     if method == "ITEMPOP":
         return itempop_scorer(fit_itempop(train))
-    return itemknn_scorer(fit_itemknn(train, neighbors), train)
+    if method == "ITEMKNN":
+        return itemknn_scorer(fit_itemknn(train, neighbors), train)
+    raise ValueError(f"unknown baseline {method!r}; valid: ITEMPOP, ITEMKNN")

@@ -22,6 +22,9 @@ def parse_bool(text: str) -> bool:
     return value
 
 
+TRAIN_FIELDS = frozenset(f.name for f in dataclasses.fields(TrainConfig))  # the rest set ExperimentSpec fields
+
+
 class TrainOption(NamedTuple):
     key: str  # config-file key; the flag is --key with '-' for '_'
     field: str  # the TrainConfig or ExperimentSpec field it sets
@@ -35,7 +38,7 @@ class TrainOption(NamedTuple):
         """
         try:
             value = self.parse(text)
-            if self.field in {f.name for f in dataclasses.fields(TrainConfig)}:
+            if self.field in TRAIN_FIELDS:
                 TrainConfig(**{self.field: value})
             else:
                 experiment.ExperimentSpec("", **{self.field: value})
@@ -110,37 +113,21 @@ def add_train_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", default=None, help="flat key=value config file")
 
 
-def resolve_train_options(args) -> dict:
-    """Merge config file values with CLI flags; flags override the file. A flag left out is None."""
-    merged = load_config_file(args.config) if args.config else {}
-    merged.update({opt.key: getattr(args, opt.key) for opt in TRAIN_OPTIONS if getattr(args, opt.key) is not None})
-    return merged
-
-
-def _fields_of(cls, opts: dict) -> dict:
-    """The resolved options that set a field of `cls`, keyed by that field."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    return {opt.field: opts[opt.key] for opt in TRAIN_OPTIONS if opt.key in opts and opt.field in names}
-
-
-def build_train_config(opts: dict) -> TrainConfig:
-    """TrainConfig from resolved options; options left out keep TrainConfig's defaults."""
-    return TrainConfig(**_fields_of(TrainConfig, opts))
-
-
 def build_spec(args) -> experiment.ExperimentSpec:
-    """The train/grid spec: resolved options over the dataset flags."""
-    opts = resolve_train_options(args)
-    config = build_train_config(opts)
+    """The train/grid spec: the config file's values, the flags over them, and the dataset flags.
+
+    An option set by neither keeps its TrainConfig or ExperimentSpec default, but for repeats:
+    the CLI runs once by default.
+    """
+    values = load_config_file(args.config) if args.config else {}
+    values.update({opt.key: getattr(args, opt.key) for opt in TRAIN_OPTIONS if getattr(args, opt.key) is not None})
+    config, spec = {}, {"repeat_count": 1}
+    for opt in TRAIN_OPTIONS:
+        if opt.key in values:
+            (config if opt.field in TRAIN_FIELDS else spec)[opt.field] = values[opt.key]
     return experiment.ExperimentSpec(
-        output_dir=args.out,
-        dataset=args.dataset,
-        raw_path=args.raw,
-        split_dir=args.split_dir,
-        kcore=args.kcore,
-        split_seed=args.split_seed,
-        config=config,
-        **{"repeat_count": 1, **_fields_of(experiment.ExperimentSpec, opts)},  # the CLI runs once by default
+        output_dir=args.out, dataset=args.dataset, raw_path=args.raw, split_dir=args.split_dir,
+        kcore=args.kcore, split_seed=args.split_seed, config=TrainConfig(**config), **spec,
     )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from noisyrec import baselines, corpus
 from noisyrec.evaluation import EVAL_KS, evaluate, mf_scorer
-from noisyrec.trainer import NOISE_AWARE, Optimizer, TrainConfig, train
+from noisyrec.trainer import NOISE_AWARE, Optimizer, TrainConfig, check_ints, train
 
 BASELINE_METHODS = ("ITEMPOP", "ITEMKNN")
 DATASETS = ("movielens", "amazon", "split")
@@ -40,6 +40,7 @@ class ExperimentSpec:
     cache_dir: Optional[str] = None
 
     def __post_init__(self):
+        check_ints(self, ("kcore", "split_seed", "knn_neighbors", "repeat_count"))
         for name in ("kcore", "knn_neighbors", "repeat_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -39,6 +40,14 @@ NOISE_AWARE = (Optimizer.NBPO_O, Optimizer.NBPO_S, Optimizer.NBPO_SS)
 DIVERGENCE_CEILING = 1e8  # an embedding norm or |objective| past this, or non-finite, stops training
 
 
+def check_ints(obj, names):
+    """Raise ValueError naming the first field in `names` whose value on obj is not an int (bool is not)."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
     optimizer: Optimizer = Optimizer.NBPO_SS
@@ -57,6 +66,8 @@ class TrainConfig:
 
     def __post_init__(self):
         self.optimizer = Optimizer(self.optimizer)
+        check_ints(self, ("rho", "batch_size", "K", "L", "max_epochs", "seed")
+                   + (("patience",) if self.patience is not None else ()))
         for name in ("eta", "init_scale", "lambda_theta", "lambda_phi"):
             if not math.isfinite(getattr(self, name)):  # a NaN lambda would train as lambda = 0
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -102,7 +113,6 @@ class EpochRecord:
 
 @dataclass
 class TrainHistory:
-    config: TrainConfig
     epochs: List[EpochRecord] = field(default_factory=list)
     best_epoch: int = -1
     best_theta: Optional[PreferenceParams] = None
@@ -137,20 +147,18 @@ class TrainHistory:
 class _BatchSampler:
     """Vectorized negative sampling against the train table's sorted codes."""
 
-    def __init__(self, train: InteractionTable, popularity=None):
+    def __init__(self, train: InteractionTable, weighted: bool = False):
         self.N = train.N
         self.codes = train.codes
-        self.full = train.user_degrees() >= train.N  # users with no unvoted item
-        if popularity is not None:
-            p = np.asarray(popularity, dtype=float)
+        degrees = train.user_degrees()
+        self.full = degrees >= train.N  # users with no unvoted item
+        self.pop = None
+        if weighted:  # WBPR: each item weighted by its train degree
+            p = train.item_degrees().astype(float)
             self.pop = p / p.sum()
-            # users who voted every item of nonzero popularity draw uniformly
-            # (rejection keeps it uniform over their unvoted items)
-            votes = np.concatenate(([0], np.cumsum(p[train.indices] > 0)))
-            popular_votes = np.diff(votes[train.indptr])
-            self.flat = popular_votes >= np.count_nonzero(p)
-        else:
-            self.pop = None
+            # a voted item has degree >= 1: a user with as many votes as there are such items voted
+            # them all, and draws uniformly (rejection keeps it uniform over their unvoted items)
+            self.flat = degrees >= np.count_nonzero(p)
 
     def _is_positive(self, users, items):
         q = users.astype(np.int64) * self.N + items
@@ -408,11 +416,10 @@ def train(dataset: SplitDataset, config: TrainConfig, exclude_train: bool = True
     )
     rng = np.random.default_rng(config.seed + 1_000_003)
 
-    popularity = train_table.item_degrees().astype(float) if config.optimizer == Optimizer.WBPR else None
-    sampler = _BatchSampler(train_table, popularity)
+    sampler = _BatchSampler(train_table, weighted=config.optimizer == Optimizer.WBPR)
 
     codes, N = train_table.codes, train_table.N  # positive (u, i) is code u * N + i
-    history = TrainHistory(config=config)
+    history = TrainHistory()
     best_f1 = -1.0
     stale = 0
 

@@ -215,3 +215,11 @@ def test_itemknn_rejects_bad_s():
     table = InteractionTable(1, 1, [(0, 0)])
     with pytest.raises(ValueError):
         fit_itemknn(table, S=0)
+
+
+def test_baseline_scorer_rejects_unknown_method():
+    table = InteractionTable(2, 3, [(0, 0), (1, 1)])
+    for name in ("FOO", "itempop", "BPR"):
+        with pytest.raises(ValueError, match=rf"^unknown baseline '{name}'; valid: ITEMPOP, ITEMKNN$"):
+            baselines.baseline_scorer(name, table)
+    assert baselines.baseline_scorer("ITEMPOP", table)(0).tolist() == [1.0, 1.0, 0.0]

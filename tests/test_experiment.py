@@ -10,6 +10,7 @@ import pytest
 
 from noisyrec import cli, corpus, experiment
 from noisyrec.corpus import InteractionTable, save_split, split
+from noisyrec.evaluation import evaluate, mf_scorer
 from noisyrec.experiment import ExperimentSpec, GridSpec, desk_preset, fine_values, grid_search, prepare, run
 from noisyrec.model import InitSpec, init_params, save_checkpoint
 from noisyrec.trainer import Optimizer, TrainConfig
@@ -405,6 +406,48 @@ def test_grid_cell_diverging_in_first_epoch_scores_zero(tmp_path):
     assert best.eta == 0.1
 
 
+def test_grid_fine_and_lambda_split_stages(tmp_path):
+    spec = ExperimentSpec(
+        output_dir=str(tmp_path / "out"),
+        dataset="split",
+        split_dir=write_tiny_split(tmp_path),
+        method="NBPO_SS",
+        config=tiny_config(max_epochs=1),
+        repeat_count=1,
+    )
+    grid = GridSpec(coarse_eta=(0.05, 0.2), coarse_lambda=(0.01, 0.1))
+    best, table = grid_search(spec, grid, stages=("coarse", "fine", "lambda_split"))
+
+    def rows(stage):
+        return [{k: v for k, v in row.items() if k not in ("stage", "val_f1@2")}
+                for row in table if row["stage"] == stage]
+
+    def winner(stage):  # the first cell of the stage's best validation F1@2
+        scores = [row["val_f1@2"] for row in table if row["stage"] == stage]
+        return rows(stage)[scores.index(max(scores))]
+
+    assert [row["stage"] for row in table] == ["coarse"] * 4 + ["fine"] * 25 + ["lambda_split"] * 25
+    coarse = winner("coarse")
+    assert rows("fine") == [{"eta": e, "lambda_theta": lam, "lambda_phi": lam}
+                            for e in fine_values(coarse["eta"]) for lam in fine_values(coarse["lambda_theta"])]
+    fine = winner("fine")
+    assert rows("lambda_split") == [{"lambda_theta": lt, "lambda_phi": lp}
+                                    for lt in fine_values(fine["lambda_theta"])
+                                    for lp in fine_values(fine["lambda_phi"])]
+    split_best = winner("lambda_split")
+    assert (best.eta, best.lambda_theta, best.lambda_phi) == (
+        fine["eta"], split_best["lambda_theta"], split_best["lambda_phi"])
+
+    plots = tmp_path / "plots"
+    written = experiment.emit_plots(table, str(plots))
+    assert [os.path.basename(p) for p in written] == ["eta_lambda_coarse.csv", "eta_lambda_fine.csv",
+                                                      "lambda_grid.csv"]
+    assert (plots / "eta_lambda_fine.csv").read_text().splitlines()[0] == "stage,eta,lambda_theta,lambda_phi,val_f1@2"
+    assert (plots / "lambda_grid.csv").read_text().splitlines()[0] == "stage,lambda_theta,lambda_phi,val_f1@2"
+    for name in ("eta_lambda_fine.csv", "lambda_grid.csv"):
+        assert len((plots / name).read_text().splitlines()) == 1 + 25
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
 def test_grid_rejects_bad_worker_count(tmp_path, monkeypatch, value):
     monkeypatch.setenv("NOISYREC_WORKERS", value)
@@ -487,6 +530,20 @@ def test_cli_eval_rejects_bad_method_arguments(tmp_path, capsys):
     assert "ITEMPOP" in capsys.readouterr().err
 
 
+def test_cli_eval_checkpoint(tmp_path, capsys):
+    split_dir = write_tiny_split(tmp_path)
+    dataset = corpus.load_split(split_dir)
+    theta, phi = init_params(dataset.train.M, dataset.train.N, 3, 0, InitSpec(seed=7, scale=0.5))
+    path = str(tmp_path / "model.txt")
+    save_checkpoint(path, theta, phi)
+    for split_name, heldout in (("test", dataset.test), ("validation", dataset.validation)):
+        assert cli.main(["eval", "--split-dir", split_dir, "--split", split_name, "--checkpoint", path]) == 0
+        report = evaluate(mf_scorer(theta), heldout, dataset.train)
+        expected = {"f1": report.f1, "ndcg": report.ndcg, "n_users": report.n_users_evaluated}
+        assert report.n_users_evaluated > 0
+        assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n", split_name
+
+
 @pytest.mark.parametrize("split_shape, checkpoint_shape, warm_users", [
     ((30, 8), (1, 8), 30),  # held-out users past the checkpoint's rows
     ((6, 5), (6, 7), 6),  # score rows longer than the split's items
@@ -532,16 +589,15 @@ def test_cli_config_file_and_flag_override(tmp_path):
     parser = cli.build_parser()
     args = parser.parse_args(["train", "--split-dir", "x", "--out", "y",
                               "--config", str(cfg_path), "--eta", "0.05"])
-    opts = cli.resolve_train_options(args)
-    assert opts["optimizer"] == "BPO"
-    assert opts["eta"] == 0.05  # flag wins
-    assert opts["rho"] == 2
-    config = cli.build_train_config(opts)
-    assert config.eta == 0.05 and config.rho == 2 and config.K == 3
+    config = cli.build_spec(args).config
+    assert config.optimizer is Optimizer.BPO
+    assert config.eta == 0.05  # flag wins
+    assert config.rho == 2 and config.K == 3
 
 
 def test_cli_train_config_defaults_come_from_train_config():
-    assert cli.build_train_config({}) == TrainConfig()
+    args = cli.build_parser().parse_args(["train", "--split-dir", "x", "--out", "y"])
+    assert cli.build_spec(args).config == TrainConfig()
 
 
 def test_cli_unknown_config_key(tmp_path):
@@ -565,7 +621,7 @@ def test_cli_unknown_config_key(tmp_path):
         args = parser.parse_args(["train", "--split-dir", "x", "--out", "y",
                                   "--config", str(cfg_path)])
         with pytest.raises(corpus.ParseError) as exc:
-            cli.resolve_train_options(args)
+            cli.build_spec(args)
         assert str(exc.value).startswith(f"{cfg_path}:{lineno}: "), text
         assert word in str(exc.value), text
 
@@ -601,16 +657,14 @@ def test_cli_boolean_config_values(tmp_path):
     for text, value in [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False)]:
         cfg_path.write_text(f"exclude_train = {text}\nbalance_positives = {text}\n")
         args = parser.parse_args(["train", "--split-dir", "x", "--out", "y", "--config", str(cfg_path)])
-        opts = cli.resolve_train_options(args)
-        assert opts["exclude_train"] is value and opts["balance_positives"] is value, text
         spec = cli.build_spec(args)
-        assert spec.exclude_train is value and spec.config.balance_positives is value
+        assert spec.exclude_train is value and spec.config.balance_positives is value, text
     # the flags win over the file
     cfg_path.write_text("exclude_train = yes\nbalance_positives = no\n")
     args = parser.parse_args(["train", "--split-dir", "x", "--out", "y", "--config", str(cfg_path),
                               "--no-exclude-train", "--balance-positives"])
-    opts = cli.resolve_train_options(args)
-    assert opts["exclude_train"] is False and opts["balance_positives"] is True
+    spec = cli.build_spec(args)
+    assert spec.exclude_train is False and spec.config.balance_positives is True
     # without file or flags: TrainConfig's and ExperimentSpec's defaults, and one repeat
     spec = cli.build_spec(parser.parse_args(["train", "--split-dir", "x", "--out", "y"]))
     assert spec.exclude_train is True and spec.repeat_count == 1 and spec.config == TrainConfig()

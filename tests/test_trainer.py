@@ -71,28 +71,28 @@ def test_sample_negatives_uniformity():
 
 
 def test_wbpr_popularity_ratio():
-    table = InteractionTable(1, 3, [(0, 0)])
-    popularity = np.array([5.0, 1.0, 3.0])
+    # user 0 voted item 0 only; the item degrees, the sampler's weights, are 5, 1 and 3
+    table = InteractionTable(5, 3, [(u, 0) for u in range(5)] + [(1, 1), (2, 2), (3, 2), (4, 2)])
+    assert table.item_degrees().tolist() == [5, 1, 3]
     rng = np.random.default_rng(3)
-    draws = _BatchSampler(table, popularity).sample(np.array([0]), 100_000, rng)
+    draws = _BatchSampler(table, weighted=True).sample(np.array([0]), 100_000, rng)
     counts = np.bincount(draws, minlength=3)
     assert counts[0] == 0
     assert counts[1] / counts[2] == pytest.approx(1 / 3, rel=0.05)
 
 
 def test_wbpr_zero_popularity_fallback():
-    table = InteractionTable(1, 4, [(0, 0)])
-    popularity = np.array([9.0, 0.0, 0.0, 0.0])
+    # item degrees 9, 0, 0, 0: user 0 voted the one item of nonzero weight
+    table = InteractionTable(9, 4, [(u, 0) for u in range(9)])
     rng = np.random.default_rng(4)
-    draws = _BatchSampler(table, popularity).sample(np.array([0]), 3000, rng)
+    draws = _BatchSampler(table, weighted=True).sample(np.array([0]), 3000, rng)
     counts = np.bincount(draws, minlength=4)
     assert counts[0] == 0 and all(c > 0 for c in counts[1:])
 
 
 def test_wbpr_single_candidate():
-    table = InteractionTable(1, 2, [(0, 0)])
-    popularity = np.array([1.0, 1.0])
-    draws = _BatchSampler(table, popularity).sample(np.array([0]), 4, np.random.default_rng(5))
+    table = InteractionTable(2, 2, [(0, 0), (1, 1)])  # item degrees 1, 1
+    draws = _BatchSampler(table, weighted=True).sample(np.array([0]), 4, np.random.default_rng(5))
     assert draws.tolist() == [1, 1, 1, 1]
 
 
@@ -527,6 +527,17 @@ def test_config_validation():
     for name, value in {"kcore": 0, "split_seed": -1, "knn_neighbors": 0, "repeat_count": 0}.items():
         with pytest.raises(ValueError, match=rf"^{name} must be .*{value}"):
             ExperimentSpec("out", **{name: value})
+    # integer fields take ints only (NaN passes every bound check); numpy ints pass
+    not_ints = [("rho", math.nan), ("K", math.nan), ("rho", 2.5), ("batch_size", 10.5), ("seed", 1.5),
+                ("L", math.nan), ("patience", math.nan), ("max_epochs", True)]
+    for name, value in not_ints:
+        with pytest.raises(ValueError, match=rf"^{name} must be an int, got {value}$"):
+            TrainConfig(**{name: value})
+    for name, value in [("kcore", math.nan), ("repeat_count", 2.5), ("split_seed", math.nan), ("knn_neighbors", 3.5)]:
+        with pytest.raises(ValueError, match=rf"^{name} must be an int, got {value}$"):
+            ExperimentSpec("out", **{name: value})
+    TrainConfig(rho=np.int64(2), K=np.int32(3), seed=np.uint8(1), patience=np.int64(0))
+    ExperimentSpec("out", kcore=np.int64(2), repeat_count=np.int32(1))
     with pytest.raises(ValueError, match=r"^init_scale must be positive, got -1.0"):
         TrainConfig(init_scale=-1.0)
     for name in ("eta", "init_scale", "lambda_theta", "lambda_phi"):
