@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -298,23 +299,34 @@ def split(table: InteractionTable, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> Spl
     )
 
 
+def write_text(path, parts):
+    """Write an iterable of strings to path + ".tmp", then os.replace it over path.
+
+    path is replaced whole: an exception on the way removes the temporary file and
+    leaves path's old bytes, or no file. A symlink at path becomes a regular file.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(parts)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 _WRITE_ROWS = 1 << 16  # rows formatted by one "%d\t%d\n" template
 
 
 def save_split(dataset: SplitDataset, directory):
     """Write train/valid/test files: header "M N seed", then one u<TAB>i per positive."""
     os.makedirs(directory, exist_ok=True)
-    for name, table in (
-        ("train", dataset.train),
-        ("valid", dataset.validation),
-        ("test", dataset.test),
-    ):
-        path = os.path.join(directory, f"{name}.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{table.M} {table.N} {dataset.seed}\n")
-            for lo in range(0, len(table), _WRITE_ROWS):
-                rows = np.column_stack(np.divmod(table.codes[lo : lo + _WRITE_ROWS], table.N))
-                fh.write(("%d\t%d\n" * len(rows)) % tuple(rows.ravel().tolist()))
+    for name, table in (("train", dataset.train), ("valid", dataset.validation), ("test", dataset.test)):
+        codes = (table.codes[lo : lo + _WRITE_ROWS] for lo in range(0, len(table), _WRITE_ROWS))
+        chunks = (("%d\t%d\n" * len(c)) % tuple(np.column_stack(np.divmod(c, table.N)).ravel().tolist())
+                  for c in codes)
+        write_text(os.path.join(directory, f"{name}.txt"),
+                   itertools.chain([f"{table.M} {table.N} {dataset.seed}\n"], chunks))
 
 
 _ROW = re.compile(r"-?[0-9]+\t-?[0-9]+")

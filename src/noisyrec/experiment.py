@@ -16,7 +16,7 @@ import numpy as np
 
 from noisyrec import baselines, corpus
 from noisyrec.evaluation import EVAL_KS, evaluate, mf_scorer
-from noisyrec.trainer import NOISE_AWARE, Optimizer, TrainConfig, check_ints, train
+from noisyrec.trainer import NOISE_AWARE, Optimizer, TrainConfig, check_bools, check_ints, train
 
 BASELINE_METHODS = ("ITEMPOP", "ITEMKNN")
 DATASETS = ("movielens", "amazon", "split")
@@ -41,6 +41,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         check_ints(self, ("kcore", "split_seed", "knn_neighbors", "repeat_count"))
+        check_bools(self, ("exclude_train",))
         for name in ("kcore", "knn_neighbors", "repeat_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -103,13 +104,6 @@ def _report_dict(report) -> dict:
     }
 
 
-def _run_baseline(spec: ExperimentSpec, dataset: corpus.SplitDataset) -> dict:
-    scorer = baselines.baseline_scorer(spec.method, dataset.train, spec.knn_neighbors)
-    val = evaluate(scorer, dataset.validation, dataset.train, EVAL_KS, spec.exclude_train)
-    test = evaluate(scorer, dataset.test, dataset.train, EVAL_KS, spec.exclude_train)
-    return {"validation": _report_dict(val), "test": _report_dict(test)}
-
-
 def run(spec: ExperimentSpec, dataset: Optional[corpus.SplitDataset] = None) -> dict:
     """Execute one experiment: repeat_count seeded runs, per-epoch CSVs, summary JSON."""
     if dataset is None:
@@ -125,7 +119,10 @@ def run(spec: ExperimentSpec, dataset: Optional[corpus.SplitDataset] = None) -> 
         "schema_version": 1,
     }
     if spec.method in BASELINE_METHODS:
-        summary["repeats"] = [_run_baseline(spec, dataset)]
+        scorer = baselines.baseline_scorer(spec.method, dataset.train, spec.knn_neighbors)
+        summary["repeats"] = [{name: _report_dict(evaluate(scorer, getattr(dataset, name), dataset.train,
+                                                           EVAL_KS, spec.exclude_train))
+                               for name in ("validation", "test")}]
     else:
         summary["config"] = dataclasses.asdict(spec.config)
         repeats = []
@@ -134,9 +131,11 @@ def run(spec: ExperimentSpec, dataset: Optional[corpus.SplitDataset] = None) -> 
             history = train(dataset, cfg, exclude_train=spec.exclude_train)
             if history.best_epoch < 0:
                 raise ValueError(f"{cfg.optimizer.value} seed {cfg.seed} diverged at epoch 0: no snapshot to test")
-            csv_path = os.path.join(spec.output_dir, f"epochs_seed{cfg.seed}.csv")
-            with open(csv_path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(history.to_csv_lines()) + "\n")
+            _write_csv(os.path.join(spec.output_dir, f"epochs_seed{cfg.seed}.csv"),
+                       ["epoch", "objective", *(f"{m}@{k}" for m in ("f1", "ndcg") for k in EVAL_KS)],
+                       [[rec.epoch, f"{rec.objective:.10g}",
+                         *(f"{getattr(rec.report, m)[k]:.10g}" for m in ("f1", "ndcg") for k in EVAL_KS)]
+                        for rec in history.epochs])
             test = evaluate(
                 mf_scorer(history.best_theta), dataset.test, dataset.train,
                 EVAL_KS, spec.exclude_train,
@@ -152,16 +151,21 @@ def run(spec: ExperimentSpec, dataset: Optional[corpus.SplitDataset] = None) -> 
         summary["repeats"] = repeats
 
     for split_name in ("validation", "test"):
-        for metric in ("f1", "ndcg"):
-            for k in EVAL_KS:
-                vals = [r[split_name][metric][str(k)] for r in summary["repeats"]]
-                summary.setdefault(f"mean_{split_name}", {}).setdefault(metric, {})[str(k)] = float(np.mean(vals))
-                summary.setdefault(f"std_{split_name}", {}).setdefault(metric, {})[str(k)] = float(np.std(vals))
-
-    with open(os.path.join(spec.output_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        for stat, reduce in (("mean", np.mean), ("std", np.std)):
+            summary[f"{stat}_{split_name}"] = {
+                metric: {str(k): float(reduce([r[split_name][metric][str(k)] for r in summary["repeats"]]))
+                         for k in EVAL_KS}
+                for metric in ("f1", "ndcg")}
+    _write_json(os.path.join(spec.output_dir, "summary.json"), summary)
     return summary
+
+
+def _write_csv(path, header, rows):
+    corpus.write_text(path, (",".join(map(str, row)) + "\n" for row in (header, *rows)))
+
+
+def _write_json(path, obj):
+    corpus.write_text(path, (json.dumps(obj, indent=2, sort_keys=True), "\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +182,15 @@ class GridSpec:
     L_range: Sequence[int] = (0, 1, 2, 5, 10, 20, 50, 100, 200, 500)
 
     def __post_init__(self):
-        for name in ("coarse_eta", "coarse_lambda", "rho_range", "batch_range", "K_range", "L_range"):
+        sweeps = [("coarse_eta", "eta"), ("coarse_lambda", "lambda_theta")] + [s.sweep for s in STAGES if s.sweep]
+        for name, field_name in sweeps:
             if not len(getattr(self, name)):
                 raise ValueError(f"{name} must be nonempty")
+            for value in getattr(self, name):  # checked by the TrainConfig field it sets
+                try:
+                    TrainConfig(**{field_name: value})
+                except ValueError as exc:
+                    raise ValueError(f"{name}: {exc}") from None
 
 
 class Stage(NamedTuple):
@@ -277,22 +287,13 @@ def grid_search(
 
     os.makedirs(spec.output_dir, exist_ok=True)
     _write_results_table(table, os.path.join(spec.output_dir, "grid_results.csv"))
-    with open(os.path.join(spec.output_dir, "grid_best.json"), "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(best), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(spec.output_dir, "grid_best.json"), dataclasses.asdict(best))
     return best, table
 
 
 def _write_results_table(table: List[dict], path: str):
-    cols: List[str] = []
-    for row in table:
-        for key in row:
-            if key not in cols:
-                cols.append(key)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in table:
-            fh.write(",".join(str(row.get(c, "")) for c in cols) + "\n")
+    cols = list(dict.fromkeys(key for row in table for key in row))  # in order of first appearance
+    _write_csv(path, cols, [[row.get(c, "") for c in cols] for row in table])
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +317,9 @@ def emit_plots(table: List[dict], outdir: str, summaries: Optional[List[dict]] =
         written.append(path)
     if summaries:
         path = os.path.join(outdir, "metric_vs_k.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("method,k,f1,ndcg\n")
-            for s in summaries:
-                for k in EVAL_KS:
-                    f1 = s["mean_test"]["f1"][str(k)]
-                    ndcg = s["mean_test"]["ndcg"][str(k)]
-                    fh.write(f"{s['method']},{k},{f1:.10g},{ndcg:.10g}\n")
+        _write_csv(path, ["method", "k", "f1", "ndcg"],
+                   [[s["method"], k, *(f"{s['mean_test'][m][str(k)]:.10g}" for m in ("f1", "ndcg"))]
+                    for s in summaries for k in EVAL_KS])
         written.append(path)
     return written
 

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from noisyrec.corpus import ParseError
+from noisyrec.corpus import ParseError, write_text
 
 
 @dataclass
@@ -120,13 +121,9 @@ def save_checkpoint(path, theta: PreferenceParams, phi: NoiseParams):
     """Text table: header "M N K L", then rows of U, V, P, Q ("%.17g" round-trips)."""
     M, K = theta.U.shape
     N = theta.V.shape[0]
-    L = phi.L
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{M} {N} {K} {L}\n")
-        for mat in (theta.U, theta.V, phi.P, phi.Q):
-            for row in mat:
-                if row.size:
-                    fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+    rows = (" ".join(f"{x:.17g}" for x in row) + "\n"
+            for mat in (theta.U, theta.V, phi.P, phi.Q) for row in mat if row.size)
+    write_text(path, itertools.chain([f"{M} {N} {K} {phi.L}\n"], rows))
 
 
 def load_checkpoint(path):

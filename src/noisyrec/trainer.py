@@ -12,7 +12,6 @@ from typing import List, Optional
 import numpy as np
 
 from noisyrec.corpus import InteractionTable, SplitDataset
-from noisyrec.evaluation import EVAL_KS
 from noisyrec.model import InitSpec, NoiseParams, PreferenceParams, init_params
 from noisyrec.objective import (
     RegSpec,
@@ -48,6 +47,14 @@ def check_ints(obj, names):
             raise ValueError(f"{name} must be an int, got {value!r}")
 
 
+def check_bools(obj, names):
+    """Raise ValueError naming the first field in `names` whose value on obj is not a bool."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, (bool, np.bool_)):  # the string "false" is truthy
+            raise ValueError(f"{name} must be a bool, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
     optimizer: Optimizer = Optimizer.NBPO_SS
@@ -68,6 +75,7 @@ class TrainConfig:
         self.optimizer = Optimizer(self.optimizer)
         check_ints(self, ("rho", "batch_size", "K", "L", "max_epochs", "seed")
                    + (("patience",) if self.patience is not None else ()))
+        check_bools(self, ("balance_positives",))
         for name in ("eta", "init_scale", "lambda_theta", "lambda_phi"):
             if not math.isfinite(getattr(self, name)):  # a NaN lambda would train as lambda = 0
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -123,21 +131,6 @@ class TrainHistory:
         if self.best_epoch < 0:
             return 0.0
         return self.epochs[self.best_epoch].report.f1[2]
-
-    def to_csv_lines(self) -> List[str]:
-        header = (
-            "epoch,objective,"
-            + ",".join(f"f1@{k}" for k in EVAL_KS)
-            + ","
-            + ",".join(f"ndcg@{k}" for k in EVAL_KS)
-        )
-        lines = [header]
-        for rec in self.epochs:
-            vals = [str(rec.epoch), f"{rec.objective:.10g}"]
-            vals += [f"{rec.report.f1[k]:.10g}" for k in EVAL_KS]
-            vals += [f"{rec.report.ndcg[k]:.10g}" for k in EVAL_KS]
-            lines.append(",".join(vals))
-        return lines
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import warnings
 from collections.abc import Set
 
@@ -19,6 +20,7 @@ from noisyrec.corpus import (
     save_split,
     sorted_unique,
     split,
+    write_text,
 )
 
 from conftest import random_table
@@ -361,6 +363,47 @@ def test_split_golden_bytes(tmp_path):
     for name in ("train", "valid", "test"):
         digest.update((tmp_path / "ds" / f"{name}.txt").read_bytes())
     assert digest.hexdigest() == "a321759a4a8b41feca70cb3c70ed92380fb86326098a21c7960cf60450ce4bb7"
+
+
+
+def test_write_text_failure_keeps_the_old_file(tmp_path):
+    def broken():
+        yield "first line\n"
+        raise RuntimeError("write failed")
+
+    path = tmp_path / "out.txt"
+    with pytest.raises(RuntimeError, match="write failed"):
+        write_text(path, broken())
+    assert os.listdir(tmp_path) == []  # no file, and no out.txt.tmp
+    path.write_bytes(b"old\n")
+    with pytest.raises(RuntimeError, match="write failed"):
+        write_text(path, broken())
+    assert path.read_bytes() == b"old\n" and os.listdir(tmp_path) == ["out.txt"]
+    write_text(path, iter(["a\n", "b\n"]))
+    assert path.read_bytes() == b"a\nb\n" and os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_write_text_replaces_a_symlink_with_a_file(tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_text("kept\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    write_text(link, ["new\n"])
+    assert not link.is_symlink() and link.read_text() == "new\n" and target.read_text() == "kept\n"
+
+
+def test_save_split_failed_replace_keeps_the_old_files(tmp_path, monkeypatch):
+    table = random_table(np.random.default_rng(4), M=9, N=7, density=0.5)
+    save_split(split(table, seed=1), tmp_path / "ds")
+    before = {name: (tmp_path / "ds" / name).read_bytes() for name in os.listdir(tmp_path / "ds")}
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        save_split(split(table, seed=2), tmp_path / "ds")
+    assert {name: (tmp_path / "ds" / name).read_bytes() for name in os.listdir(tmp_path / "ds")} == before
 
 
 def test_table_views_match_brute_force():

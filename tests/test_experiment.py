@@ -10,10 +10,10 @@ import pytest
 
 from noisyrec import cli, corpus, experiment
 from noisyrec.corpus import InteractionTable, save_split, split
-from noisyrec.evaluation import evaluate, mf_scorer
+from noisyrec.evaluation import MetricReport, evaluate, mf_scorer
 from noisyrec.experiment import ExperimentSpec, GridSpec, desk_preset, fine_values, grid_search, prepare, run
 from noisyrec.model import InitSpec, init_params, save_checkpoint
-from noisyrec.trainer import Optimizer, TrainConfig
+from noisyrec.trainer import EpochRecord, Optimizer, TrainConfig, TrainHistory
 
 
 def write_tiny_split(tmp_path):
@@ -175,6 +175,44 @@ def test_run_baseline_methods(tmp_path):
         )
         summary = run(spec)
         assert "mean_test" in summary
+
+
+def fixed_history(dataset, objectives, f1_at_2=0.5):
+    """A TrainHistory of one EpochRecord per objective, each with the same report; the first epoch is best."""
+    report = MetricReport(f1={2: f1_at_2, 5: 1 / 3, 10: 0.0, 20: 1.0},
+                          ndcg={2: 2.5e-7, 5: 0.123456789012, 10: 1e-12, 20: 2 / 3}, n_users_evaluated=4)
+    theta, phi = init_params(dataset.train.M, dataset.train.N, 2, 0, InitSpec(seed=0))
+    return TrainHistory(epochs=[EpochRecord(e, obj, report) for e, obj in enumerate(objectives)],
+                        best_epoch=0, best_theta=theta, best_phi=phi)
+
+
+def test_run_epoch_csv_text(tmp_path, monkeypatch):
+    ds = corpus.load_split(write_tiny_split(tmp_path))
+    monkeypatch.setattr(experiment, "train", lambda dataset, cfg, exclude_train: fixed_history(
+        dataset, [1 / 3, -12.3456789012345, 1e20]))
+    run(ExperimentSpec(str(tmp_path / "out"), dataset="split", method="BPO", repeat_count=1), dataset=ds)
+    row = "0.5,0.3333333333,0,1,2.5e-07,0.123456789,1e-12,0.6666666667"
+    assert (tmp_path / "out" / "epochs_seed0.csv").read_text() == (
+        "epoch,objective,f1@2,f1@5,f1@10,f1@20,ndcg@2,ndcg@5,ndcg@10,ndcg@20\n"
+        f"0,0.3333333333,{row}\n1,-12.3456789,{row}\n2,1e+20,{row}\n"
+    )
+
+
+def test_run_failed_replace_keeps_the_old_summary(tmp_path, monkeypatch):
+    split_dir = write_tiny_split(tmp_path)
+    spec = ExperimentSpec(str(tmp_path / "out"), dataset="split", split_dir=split_dir, method="ITEMPOP",
+                          repeat_count=1)
+    run(spec)
+    before = (tmp_path / "out" / "summary.json").read_bytes()
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        run(replace(spec, exclude_train=False))
+    assert (tmp_path / "out" / "summary.json").read_bytes() == before
+    assert os.listdir(tmp_path / "out") == ["summary.json"]
 
 
 def test_run_invalid_config_fails_before_training(tmp_path):
@@ -368,6 +406,24 @@ def test_grid_results_files(tmp_path):
     assert stages == ["coarse", "rho", "rho", "L", "L"]
 
 
+def test_grid_results_csv_text(tmp_path, monkeypatch):
+    ds = corpus.load_split(write_tiny_split(tmp_path))
+    # the score of a cell is a function of its config, so the winner and every row are fixed
+    monkeypatch.setattr(experiment, "train", lambda dataset, cfg, exclude_train: fixed_history(
+        dataset, [0.0], f1_at_2=cfg.eta + cfg.lambda_theta / 4 - cfg.rho / 8))
+    spec = ExperimentSpec(str(tmp_path / "out"), dataset="split", method="BPO", config=tiny_config(optimizer="BPO"))
+    grid_search(spec, GridSpec(coarse_eta=(1 / 3, 0.25), coarse_lambda=(1.0,), rho_range=(1, 2)),
+                stages=("coarse", "rho"), dataset=ds)
+    # the rho rows lack the coarse columns, which come first: an empty field for each
+    assert (tmp_path / "out" / "grid_results.csv").read_text() == (
+        "stage,eta,lambda_theta,lambda_phi,val_f1@2,rho\n"
+        "coarse,0.3333333333333333,1.0,0.0,0.45833333333333326,\n"
+        "coarse,0.25,1.0,0.0,0.375,\n"
+        "rho,,,,0.45833333333333326,1\n"
+        "rho,,,,0.33333333333333326,2\n"
+    )
+
+
 def test_grid_results_identical_with_two_workers(tmp_path, monkeypatch):
     split_dir = write_tiny_split(tmp_path)
 
@@ -481,6 +537,22 @@ def test_emit_plots_schemas(tmp_path):
     assert len(mk) == 1 + 2 * 4  # one row per k per method
     el = (tmp_path / "plots" / "eta_lambda_coarse.csv").read_text().splitlines()
     assert len(el) == 1 + 2
+
+
+def test_emit_plots_metric_vs_k_text(tmp_path):
+    summaries = [
+        {"method": "BPO", "mean_test": {"f1": {"2": 1 / 3, "5": 0.1, "10": 0.0, "20": 1.0},
+                                        "ndcg": {"2": 2.5e-7, "5": 0.123456789012, "10": 1e-12, "20": 2 / 3}}},
+        {"method": "NBPO_SS", "mean_test": {"f1": {"2": 0.5, "5": 0.25, "10": 0.125, "20": 1e20},
+                                            "ndcg": {"2": -0.0, "5": 1.0, "10": 0.9999999999999, "20": 0.3}}},
+    ]
+    (path,) = experiment.emit_plots([], str(tmp_path / "plots"), summaries)
+    assert os.path.basename(path) == "metric_vs_k.csv"
+    assert (tmp_path / "plots" / "metric_vs_k.csv").read_text() == (
+        "method,k,f1,ndcg\n"
+        "BPO,2,0.3333333333,2.5e-07\nBPO,5,0.1,0.123456789\nBPO,10,0,1e-12\nBPO,20,1,0.6666666667\n"
+        "NBPO_SS,2,0.5,-0\nNBPO_SS,5,0.25,1\nNBPO_SS,10,0.125,1\nNBPO_SS,20,1e+20,0.3\n"
+    )
 
 
 # --------------------------------------------------------------------------
@@ -707,6 +779,19 @@ def test_stage_table_runs_the_one_field_sweeps(tmp_path):
     assert [(row["stage"], {k: v for k, v in row.items() if k not in ("stage", "val_f1@2")}) for row in table] == [
         ("rho", {"rho": 1}), ("rho", {"rho": 2}), ("batch", {"batch_size": 32}), ("K", {"K": 2}), ("K", {"K": 3}),
     ]
+
+
+def test_grid_spec_checks_its_values_when_made():
+    for name, value, message in [("K_range", 0, "K must be >= 1, got 0"),
+                                 ("rho_range", 2.5, "rho must be an int, got 2.5"),
+                                 ("coarse_eta", -1.0, "eta must be positive, got -1.0"),
+                                 ("L_range", -1, "L must be >= 0, got -1"),
+                                 ("coarse_lambda", float("nan"), "lambda_theta must be finite, got nan"),
+                                 ("batch_range", 0, "batch_size must be >= 1, got 0")]:
+        with pytest.raises(ValueError, match=rf"^{name}: {re.escape(message)}$"):
+            GridSpec(**{name: (1, value) if name.endswith("_range") else (0.1, value)})
+    with pytest.raises(ValueError, match=r"^K_range must be nonempty$"):
+        GridSpec(K_range=())
 
 
 def test_cli_error_exit_code(tmp_path):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -139,3 +141,17 @@ def test_checkpoint_text_is_unchanged(tmp_path):
         "1 2 2 1\n0.10000000000000001 -2\n0.33333333333333331 1e-300\n"
         "3.1415926535897931 5\n0.5\n-0.25\n7\n"
     )
+
+
+def test_save_checkpoint_failed_replace_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(path, *init_params(4, 6, 3, 2, InitSpec(seed=1)))
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        save_checkpoint(path, *init_params(4, 6, 3, 2, InitSpec(seed=2)))
+    assert path.read_bytes() == before and os.listdir(tmp_path) == ["ckpt.txt"]

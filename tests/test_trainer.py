@@ -465,7 +465,8 @@ def test_train_determinism():
                       K=3, L=2, max_epochs=4, seed=11)
     h1 = train(ds, cfg)
     h2 = train(ds, cfg)
-    assert h1.to_csv_lines() == h2.to_csv_lines()
+    records = [[(r.epoch, r.objective, r.report) for r in h.epochs] for h in (h1, h2)]
+    assert records[0] == records[1]  # exact floats
     assert np.array_equal(h1.best_theta.U, h2.best_theta.U)
     assert np.array_equal(h1.best_phi.P, h2.best_phi.P)
 
@@ -538,6 +539,14 @@ def test_config_validation():
             ExperimentSpec("out", **{name: value})
     TrainConfig(rho=np.int64(2), K=np.int32(3), seed=np.uint8(1), patience=np.int64(0))
     ExperimentSpec("out", kcore=np.int64(2), repeat_count=np.int32(1))
+    # boolean fields take bools only (the string "false" is truthy); numpy bools pass
+    for value, shown in [("false", "'false'"), (0, "0"), (1, "1"), (None, "None")]:
+        with pytest.raises(ValueError, match=rf"^balance_positives must be a bool, got {shown}$"):
+            TrainConfig(balance_positives=value)
+        with pytest.raises(ValueError, match=rf"^exclude_train must be a bool, got {shown}$"):
+            ExperimentSpec("out", exclude_train=value)
+    TrainConfig(balance_positives=np.bool_(True))
+    ExperimentSpec("out", exclude_train=np.bool_(False))
     with pytest.raises(ValueError, match=r"^init_scale must be positive, got -1.0"):
         TrainConfig(init_scale=-1.0)
     for name in ("eta", "init_scale", "lambda_theta", "lambda_phi"):
