@@ -174,23 +174,9 @@ def cmd_eval(args):
 
 
 def cmd_plots(args):
-    with open(args.results, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        table = []
-        for lineno, line in enumerate(fh, 2):
-            vals = line.rstrip("\n").split(",")
-            if len(vals) != len(header):
-                raise corpus.ParseError(args.results, lineno, f"expected {len(header)} fields, got {len(vals)}")
-            table.append({k: v for k, v in zip(header, vals) if v != ""})
-    summaries = []
-    for path in args.summary or []:
-        with open(path, "r", encoding="utf-8") as fh:
-            summary = json.load(fh)
-        if not (isinstance(summary, dict) and {"method", "mean_test"} <= summary.keys()):
-            raise ValueError(f"{path} is not a run summary: it needs 'method' and 'mean_test'")
-        summaries.append(summary)
-    written = experiment.emit_plots(table, args.out, summaries or None)
-    for path in written:
+    table = experiment.read_results_table(args.results)
+    summaries = [experiment.read_summary(path) for path in args.summary or []]  # all read before any write
+    for path in experiment.emit_plots(table, args.out, summaries or None):
         print(path)
 
 

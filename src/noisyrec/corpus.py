@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import operator
 import os
 import re
@@ -47,6 +46,15 @@ def _int_objects(values: np.ndarray, n: int) -> list:
     return [ints[v] for v in values.tolist()]
 
 
+def _contains(codes: np.ndarray, N: int, users, items):
+    """Whether each in-range pair's code u * N + i is among the sorted codes; arrays or scalars."""
+    q = np.asarray(users, dtype=np.int64) * N + items
+    if not len(codes):
+        return np.zeros(np.shape(q), dtype=bool)
+    at = np.minimum(np.searchsorted(codes, q), len(codes) - 1)
+    return codes[at] == q
+
+
 class PairSet(Set):
     """Read-only set of the (user, item) pairs behind sorted, unique codes u*N + i.
 
@@ -66,11 +74,7 @@ class PairSet(Set):
             u, i = map(operator.index, pair)  # ints, numpy ints and bools; nothing else
         except (TypeError, ValueError):
             return False
-        if not (0 <= u < self._M and 0 <= i < self._N):
-            return False
-        code = u * self._N + i
-        at = int(np.searchsorted(self._codes, code))
-        return at < len(self._codes) and int(self._codes[at]) == code
+        return 0 <= u < self._M and 0 <= i < self._N and bool(_contains(self._codes, self._N, u, i))
 
     def __iter__(self):
         for lo in range(0, len(self._codes), self._CHUNK):
@@ -99,16 +103,22 @@ class InteractionTable:
     def __init__(self, M: int, N: int, pairs):
         self.M = int(M)
         self.N = int(N)
+        if self.M < 0 or self.N < 0:
+            raise ValueError(f"table shape {self.M}x{self.N} has a negative side")
         arr = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
         if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
             raise ValueError(f"pairs must be (user, item) rows, got shape {arr.shape}")
         u, i = arr.reshape(-1, 2).T
-        bad = (u < 0) | (u >= self.M) | (i < 0) | (i >= self.N)
-        if bad.any():
+        if arr.size and (arr.min() < 0 or u.max() >= self.M or i.max() >= self.N):  # then find the first bad pair
+            bad = (u < 0) | (u >= self.M) | (i < 0) | (i >= self.N)
             raise ValueError(f"pair ({u[bad][0]}, {i[bad][0]}) out of range for {self.M}x{self.N}")
         self.codes = sorted_unique(u * self.N + i)
         self.indptr = np.searchsorted(self.codes, np.arange(self.M + 1) * self.N)
         self.indices = self.codes - np.repeat(np.arange(self.M) * self.N, np.diff(self.indptr))
+
+    def contains(self, users, items):
+        """Whether each (users, items) pair is a positive, for arrays or scalars; `positives` also checks the range."""
+        return _contains(self.codes, self.N, users, items)
 
     def dense_rows(self, lo: int, hi: int) -> np.ndarray:
         """Users lo..hi-1 as a dense (hi - lo, N) boolean block."""
@@ -266,24 +276,17 @@ def kcore_filter(table: InteractionTable, k: int) -> InteractionTable:
     return InteractionTable(len(keep_u), len(keep_i), np.column_stack((new_u, new_i)))
 
 
-def split(table: InteractionTable, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitDataset:
-    """Shuffle positives and partition train/validation/test, then prune cold pairs.
+def split(table: InteractionTable, seed: int = 0) -> SplitDataset:
+    """Shuffle positives and partition them 80/10/10 into train/validation/test, then prune cold pairs.
 
-    Validation and test take floor(ratio * |positives|) pairs each; train takes
+    Validation and test take floor(0.1 * |positives|) pairs each; train takes
     the remainder. Validation/test pairs whose user or item has no train
     positive are removed. Train is never pruned.
     """
-    if not math.isclose(sum(ratios), 1.0):
-        raise ValueError("ratios must sum to 1")
     # the rows rng.shuffle would give, without its slow row-by-row swaps
     pairs = table.pairs[np.random.default_rng(seed).permutation(len(table))]
-    n = len(pairs)
-    n_val = int(ratios[1] * n)
-    n_test = int(ratios[2] * n)
-    n_train = n - n_val - n_test
-    train_pairs = pairs[:n_train]
-    val_pairs = pairs[n_train : n_train + n_val]
-    test_pairs = pairs[n_train + n_val :]
+    cut = int(0.1 * len(pairs))  # the validation size, and the test size
+    train_pairs, val_pairs, test_pairs = np.split(pairs, [len(pairs) - 2 * cut, len(pairs) - cut])
 
     warm_u = np.bincount(train_pairs[:, 0], minlength=table.M) > 0
     warm_i = np.bincount(train_pairs[:, 1], minlength=table.N) > 0
@@ -341,8 +344,10 @@ def _read_table(path, first=None):
         header, body = fh.readline(), fh.read()
     try:
         M, N, seed = (int(f) for f in header.split())
+        if min(M, N, seed) < 0:
+            raise ValueError
     except ValueError:
-        raise ParseError(path, 1, f"expected header 'M N seed', got {header.rstrip()!r}") from None
+        raise ParseError(path, 1, f"expected header 'M N seed' of ints >= 0, got {header.rstrip()!r}") from None
     if first is not None and (M, N, seed) != first[1]:
         raise ParseError(path, 1, f"header (M, N, seed) {(M, N, seed)} differs from {first[1]} in {first[0]}")
     # numpy parses the rows from the file itself (it warns on an empty body, so

@@ -168,6 +168,27 @@ def _write_json(path, obj):
     corpus.write_text(path, (json.dumps(obj, indent=2, sort_keys=True), "\n"))
 
 
+def read_summary(path) -> dict:
+    """A summary.json as run() writes it, with a "method" string and a number at every
+    ["mean_test"][metric][k] emit_plots reads; anything else raises ValueError naming the file and key.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            summary = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{path} is not a run summary: {exc}") from None
+    for keys in [("method",)] + [("mean_test", m, str(k)) for m in ("f1", "ndcg") for k in EVAL_KS]:
+        value = summary
+        for n, key in enumerate(keys, 1):
+            value = value.get(key) if isinstance(value, dict) else None
+            kind, name = ((dict, "an object") if n < len(keys) else (str, "a string") if key == "method"
+                          else ((int, float), "a number"))
+            if not isinstance(value, kind) or isinstance(value, bool):
+                where = "".join(f"[{k!r}]" for k in keys[:n])
+                raise ValueError(f"{path} is not a run summary: {where} is missing or not {name}, got {value!r}")
+    return summary
+
+
 # ---------------------------------------------------------------------------
 # grid search
 
@@ -294,6 +315,17 @@ def grid_search(
 def _write_results_table(table: List[dict], path: str):
     cols = list(dict.fromkeys(key for row in table for key in row))  # in order of first appearance
     _write_csv(path, cols, [[row.get(c, "") for c in cols] for row in table])
+
+
+def read_results_table(path) -> List[dict]:
+    """A grid_results.csv's rows as str dicts without their empty fields; a ragged row raises ParseError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        rows = [line.rstrip("\n").split(",") for line in fh]
+    for lineno, vals in enumerate(rows, 2):
+        if len(vals) != len(header):
+            raise corpus.ParseError(path, lineno, f"expected {len(header)} fields, got {len(vals)}")
+    return [{k: v for k, v in zip(header, vals) if v != ""} for vals in rows]
 
 
 # ---------------------------------------------------------------------------

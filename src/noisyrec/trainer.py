@@ -138,11 +138,10 @@ class TrainHistory:
 
 
 class _BatchSampler:
-    """Vectorized negative sampling against the train table's sorted codes."""
+    """Vectorized negative sampling with rejection of the train table's positives."""
 
     def __init__(self, train: InteractionTable, weighted: bool = False):
-        self.N = train.N
-        self.codes = train.codes
+        self.train = train
         degrees = train.user_degrees()
         self.full = degrees >= train.N  # users with no unvoted item
         self.pop = None
@@ -153,19 +152,13 @@ class _BatchSampler:
             # them all, and draws uniformly (rejection keeps it uniform over their unvoted items)
             self.flat = degrees >= np.count_nonzero(p)
 
-    def _is_positive(self, users, items):
-        q = users.astype(np.int64) * self.N + items
-        idx = np.searchsorted(self.codes, q)
-        idx = np.minimum(idx, len(self.codes) - 1)
-        return self.codes[idx] == q
-
     def _draw(self, users, rng):
         if self.pop is None:
-            return rng.integers(0, self.N, size=len(users))
-        out = rng.choice(self.N, size=len(users), replace=True, p=self.pop)
+            return rng.integers(0, self.train.N, size=len(users))
+        out = rng.choice(self.train.N, size=len(users), replace=True, p=self.pop)
         flat = self.flat[users]
         if flat.any():
-            out[flat] = rng.integers(0, self.N, size=int(flat.sum()))
+            out[flat] = rng.integers(0, self.train.N, size=int(flat.sum()))
         return out
 
     def sample(self, users: np.ndarray, rho: int, rng) -> np.ndarray:
@@ -175,10 +168,10 @@ class _BatchSampler:
             raise ValueError(f"user {users[full][0]} has no unvoted items to sample")
         neg_u = np.repeat(users, rho)
         neg_j = self._draw(neg_u, rng)
-        bad = self._is_positive(neg_u, neg_j)
+        bad = self.train.contains(neg_u, neg_j)
         while bad.any():
             neg_j[bad] = self._draw(neg_u[bad], rng)
-            bad[bad] = self._is_positive(neg_u[bad], neg_j[bad])
+            bad[bad] = self.train.contains(neg_u[bad], neg_j[bad])
         return neg_j
 
 

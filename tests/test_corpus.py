@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import warnings
 from collections.abc import Set
 
@@ -315,12 +316,6 @@ def test_split_invariants_over_seeds():
             assert u in train_users and i in train_items
 
 
-def test_split_bad_ratios():
-    table = InteractionTable(2, 2, [(0, 0)])
-    with pytest.raises(ValueError):
-        split(table, ratios=(0.5, 0.1, 0.1), seed=0)
-
-
 def test_save_load_split_roundtrip(tmp_path):
     rng = np.random.default_rng(6)
     table = random_table(rng, M=8, N=9, density=0.5)
@@ -473,6 +468,53 @@ def test_sorted_unique_matches_np_unique():
 def test_table_rejects_out_of_range_pair():
     with pytest.raises(ValueError, match=r"\(2, 0\)"):
         InteractionTable(2, 2, [(0, 0), (2, 0)])
+
+
+def test_table_names_the_first_out_of_range_pair():
+    for pairs, first in [([(0, 0), (1, -1), (5, 0)], "(1, -1)"), ([(1, 1), (0, 3), (-2, 0)], "(0, 3)"),
+                         ([(0, 0), (2, 2)], "(2, 2)")]:
+        with pytest.raises(ValueError, match=rf"^pair {re.escape(first)} out of range for 2x3$"):
+            InteractionTable(2, 3, np.array(pairs))
+
+
+def test_table_rejects_negative_shape():
+    for M, N in [(2, -3), (-1, 5), (-1, -1)]:
+        with pytest.raises(ValueError, match=rf"^table shape {M}x{N} has a negative side$"):
+            InteractionTable(M, N, [])
+    assert len(InteractionTable(0, 0, [])) == 0 and InteractionTable(0, 4, []).indptr.tolist() == [0]
+
+
+@pytest.mark.parametrize("header", ["-1 5 0", "3 -1 0", "3 5 -2"])
+def test_load_split_rejects_negative_header(tmp_path, header):
+    for name in ("train", "valid", "test"):
+        (tmp_path / f"{name}.txt").write_text(f"{header}\n")
+    with pytest.raises(ParseError) as exc:
+        load_split(tmp_path)
+    assert (exc.value.path, exc.value.lineno) == (str(tmp_path / "train.txt"), 1)
+    assert repr(header) in str(exc.value)
+
+
+def test_contains_matches_pair_set_and_brute_force():
+    rng = np.random.default_rng(23)
+    for case in range(60):
+        if case < 3:  # empty tables: 0x0, and shapes without a pair
+            table = InteractionTable(*[(0, 0), (3, 4), (1, 1)][case], [])
+        else:
+            table = random_table(rng, density=rng.uniform(0.0, 1.0))
+        M, N = table.M, table.N
+        want = {(int(u), int(i)) for u, i in table.pairs}
+        users, items = np.divmod(np.arange(M * N), max(N, 1))  # every in-range pair, in code order
+        got = table.contains(users, items)
+        assert got.dtype == bool and got.shape == users.shape
+        assert got.tolist() == [(u, i) in want for u, i in zip(users.tolist(), items.tolist())]
+        assert got.tolist() == [(u, i) in table.positives for u, i in zip(users.tolist(), items.tolist())]
+        draws = (rng.integers(0, max(M, 1), 7), rng.integers(0, max(N, 1), 7)) if M and N else (users, items)
+        assert table.contains(*draws).tolist() == [p in want for p in zip(*(d.tolist() for d in draws))]
+        for u, i in list(want)[:3] + [(0, 0), (M - 1, N - 1)]:  # scalars: Python and numpy ints
+            if 0 <= u < M and 0 <= i < N:
+                assert bool(table.contains(u, i)) == bool(table.contains(np.int64(u), np.int32(i))) == ((u, i) in want)
+        for pair in [(M, 0), (0, N), (-1, 0), (0, -1), (M, N), (2**70, 0)]:  # out of range: only the set view
+            assert pair not in table.positives and pair not in want
 
 
 def test_load_split_names_file_and_line(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 from noisyrec import cli, corpus, experiment
 from noisyrec.corpus import InteractionTable, save_split, split
-from noisyrec.evaluation import MetricReport, evaluate, mf_scorer
+from noisyrec.evaluation import EVAL_KS, MetricReport, evaluate, mf_scorer
 from noisyrec.experiment import ExperimentSpec, GridSpec, desk_preset, fine_values, grid_search, prepare, run
 from noisyrec.model import InitSpec, init_params, save_checkpoint
 from noisyrec.trainer import EpochRecord, Optimizer, TrainConfig, TrainHistory
@@ -758,6 +758,40 @@ def test_cli_plots_rejects_summary_without_mean_test(tmp_path, capsys):
                      "--out", str(tmp_path / "plots")]) == 2
     err = capsys.readouterr().err
     assert str(summary) in err and "'mean_test'" in err
+
+
+GOOD_MEAN_TEST = {m: {str(k): 0.5 for k in EVAL_KS} for m in ("f1", "ndcg")}
+
+
+@pytest.mark.parametrize("text, key", [
+    (json.dumps({"method": "BPO", "mean_test": {**GOOD_MEAN_TEST, "f1": {"5": 0.1, "10": 0.1, "20": 0.1}}}),
+     "['mean_test']['f1']['2'] is missing or not a number, got None"),
+    (json.dumps({"method": "BPO", "mean_test": 3}), "['mean_test'] is missing or not an object, got 3"),
+    (json.dumps({"method": "BPO", "mean_test": {**GOOD_MEAN_TEST, "ndcg": {**GOOD_MEAN_TEST["ndcg"], "20": True}}}),
+     "['mean_test']['ndcg']['20'] is missing or not a number, got True"),
+    (json.dumps({"method": 7, "mean_test": GOOD_MEAN_TEST}), "['method'] is missing or not a string, got 7"),
+    (json.dumps([GOOD_MEAN_TEST]), "['method'] is missing or not a string, got None"),
+    ("{not json", "Expecting property name"),
+], ids=["f1-lacks-2", "mean-test-is-3", "bool-metric", "int-method", "top-level-list", "not-json"])
+def test_cli_plots_checks_every_summary_before_writing(tmp_path, capsys, text, key):
+    results = tmp_path / "grid_results.csv"
+    results.write_text("stage,eta,lambda_theta,val_f1@2\ncoarse,0.1,0.01,0.5\n")
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"method": "NBPO_SS", "mean_test": GOOD_MEAN_TEST}))
+    bad.write_text(text)
+    out = tmp_path / "plots"
+    assert cli.main(["plots", "--results", str(results), "--summary", str(good), "--summary", str(bad),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad} is not a run summary: {key}")
+    assert not out.exists()  # nothing is written before every input is read
+
+
+def test_read_results_table_reads_what_grid_search_writes(tmp_path):
+    table = [{"stage": "coarse", "eta": 0.1, "lambda_theta": 0.01, "val_f1@2": 0.25},
+             {"stage": "rho", "rho": 3, "val_f1@2": 0.5}]
+    path = str(tmp_path / "grid_results.csv")
+    experiment._write_results_table(table, path)
+    assert experiment.read_results_table(path) == [{k: str(v) for k, v in row.items()} for row in table]
 
 
 def test_cli_grid_rejects_unknown_stage(tmp_path, capsys):
