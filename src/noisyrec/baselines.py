@@ -11,18 +11,14 @@ from noisyrec.corpus import InteractionTable
 from noisyrec.model import topk_from_scores
 
 
-@dataclass
-class PopularityModel:
-    counts: np.ndarray  # per-item train positive counts
+def fit_itempop(train: InteractionTable) -> np.ndarray:
+    """Per-item train positive counts, as floats."""
+    return train.item_degrees().astype(float)
 
 
-def fit_itempop(train: InteractionTable) -> PopularityModel:
-    return PopularityModel(counts=train.item_degrees().astype(float))
-
-
-def itempop_scorer(model: PopularityModel) -> Callable:
+def itempop_scorer(counts: np.ndarray) -> Callable:
     def score_user(u: int) -> np.ndarray:
-        return model.counts
+        return counts
     return score_user
 
 
@@ -80,7 +76,7 @@ def itemknn_scorer(model: ItemKnnModel, train: InteractionTable) -> Callable:
     N, lengths = len(model.indptr) - 1, np.diff(model.indptr)
 
     def score_user(u: int) -> np.ndarray:
-        voted = train.indices[train.indptr[u] : train.indptr[u + 1]]
+        voted = train.codes[train.indptr[u] : train.indptr[u + 1]] - u * train.N
         starts, lens = model.indptr[voted], lengths[voted]
         take = np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
         # each item's contributions arrive in ascending j and are summed in that order from 0.0,

@@ -176,6 +176,8 @@ def cmd_eval(args):
 def cmd_plots(args):
     table = experiment.read_results_table(args.results)
     summaries = [experiment.read_summary(path) for path in args.summary or []]  # all read before any write
+    if not table and not summaries:
+        raise ValueError(f"{args.results} has no grid rows and no --summary is given: no plot to write")
     for path in experiment.emit_plots(table, args.out, summaries or None):
         print(path)
 

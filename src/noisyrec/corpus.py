@@ -47,12 +47,12 @@ def _int_objects(values: np.ndarray, n: int) -> list:
 
 
 def _contains(codes: np.ndarray, N: int, users, items):
-    """Whether each in-range pair's code u * N + i is among the sorted codes; arrays or scalars."""
+    """Whether each pair's code u * N + i is among the sorted codes; arrays or scalars. False for items off [0, N)."""
     q = np.asarray(users, dtype=np.int64) * N + items
     if not len(codes):
         return np.zeros(np.shape(q), dtype=bool)
     at = np.minimum(np.searchsorted(codes, q), len(codes) - 1)
-    return codes[at] == q
+    return (codes[at] == q) & (items >= 0) & (items < N)  # with the item in range, no user off the table has a code
 
 
 class PairSet(Set):
@@ -94,10 +94,10 @@ class PairSet(Set):
 class InteractionTable:
     """Sparse binary observation matrix of (user, item) positives, in CSR form.
 
-    Stores the sorted, unique int64 codes u*N + i of the positives and their
-    CSR rows (``indptr``, ``indices``). ``pairs`` and the degrees are derived
-    from these on each use; ``per_user`` and the ``positives`` set view on
-    first use, and kept.
+    Stores the sorted, unique int64 codes u*N + i of the positives and the row
+    bounds ``indptr``: user u's items are ``codes[indptr[u]:indptr[u + 1]] - u*N``.
+    ``pairs`` and the degrees are derived from these on each use; ``per_user``
+    and the ``positives`` set view on first use, and kept.
     """
 
     def __init__(self, M: int, N: int, pairs):
@@ -114,10 +114,9 @@ class InteractionTable:
             raise ValueError(f"pair ({u[bad][0]}, {i[bad][0]}) out of range for {self.M}x{self.N}")
         self.codes = sorted_unique(u * self.N + i)
         self.indptr = np.searchsorted(self.codes, np.arange(self.M + 1) * self.N)
-        self.indices = self.codes - np.repeat(np.arange(self.M) * self.N, np.diff(self.indptr))
 
     def contains(self, users, items):
-        """Whether each (users, items) pair is a positive, for arrays or scalars; `positives` also checks the range."""
+        """Whether each (users, items) pair is a positive, for arrays or scalars; an item outside [0, N) is not."""
         return _contains(self.codes, self.N, users, items)
 
     def dense_rows(self, lo: int, hi: int) -> np.ndarray:
@@ -129,7 +128,7 @@ class InteractionTable:
     @property
     def pairs(self) -> np.ndarray:
         """(n, 2) int64 (user, item) rows in ascending order."""
-        return np.column_stack((np.repeat(np.arange(self.M), np.diff(self.indptr)), self.indices))
+        return np.column_stack(np.divmod(self.codes, self.N))
 
     @cached_property
     def positives(self) -> PairSet:
@@ -139,7 +138,7 @@ class InteractionTable:
     @cached_property
     def per_user(self) -> list:
         """Ascending item lists, one per user."""
-        flat, bounds = _int_objects(self.indices, self.N), self.indptr.tolist()
+        flat, bounds = _int_objects(self.codes % self.N, self.N), self.indptr.tolist()
         return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def __len__(self):
@@ -157,7 +156,7 @@ class InteractionTable:
         return np.diff(self.indptr)
 
     def item_degrees(self) -> np.ndarray:
-        return np.bincount(self.indices, minlength=self.N)
+        return np.bincount(self.codes % self.N, minlength=self.N)
 
 
 @dataclass

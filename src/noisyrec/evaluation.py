@@ -80,11 +80,11 @@ def evaluate(
         hi = min(lo + rows, heldout.M)
         n_rel = np.diff(heldout.indptr[lo : hi + 1])
         users = np.flatnonzero(n_rel)
-        relevant, n_rel = heldout.dense_rows(lo, hi)[users], n_rel[users, None]
-        scores = np.array([scorer(lo + u) for u in users.tolist()], dtype=float).reshape(relevant.shape)
+        n_rel = n_rel[users, None]
+        scores = np.array([scorer(lo + u) for u in users.tolist()], dtype=float).reshape(len(users), heldout.N)
         excluded = train.dense_rows(lo, hi)[users] if exclude_train else np.zeros(scores.shape, bool)
         top = topk_from_scores(scores, kmax, excluded)
-        hit = (top >= 0) & np.take_along_axis(relevant, top, axis=1)
+        hit = heldout.contains((lo + users)[:, None], top)  # the -1 that pads a short row is no item
         n_hits = np.cumsum(hit, axis=1)[:, cols]
         precision, recall = n_hits / (cols + 1), n_hits / n_rel
         f1 = np.divide(2 * precision * recall, precision + recall, out=np.zeros(n_hits.shape), where=n_hits > 0)

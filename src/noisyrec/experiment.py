@@ -318,14 +318,27 @@ def _write_results_table(table: List[dict], path: str):
 
 
 def read_results_table(path) -> List[dict]:
-    """A grid_results.csv's rows as str dicts without their empty fields; a ragged row raises ParseError."""
+    """A grid_results.csv's rows as str dicts without their empty fields.
+
+    Raises ParseError naming the line for a ragged row, a row whose stage is
+    missing or unknown, and a header without a stage or val_f1@2 column above rows.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
         rows = [line.rstrip("\n").split(",") for line in fh]
+    missing = [name for name in ("stage", "val_f1@2") if name not in header]
+    if rows and missing:
+        raise corpus.ParseError(path, 1, f"header has no {missing[0]!r} column")
+    table = []
     for lineno, vals in enumerate(rows, 2):
         if len(vals) != len(header):
             raise corpus.ParseError(path, lineno, f"expected {len(header)} fields, got {len(vals)}")
-    return [{k: v for k, v in zip(header, vals) if v != ""} for vals in rows]
+        row = {k: v for k, v in zip(header, vals) if v != ""}
+        if row.get("stage") not in ALL_STAGES:
+            raise corpus.ParseError(path, lineno, f"stage {row.get('stage')!r} is missing or unknown; "
+                                                  f"valid stages: {','.join(ALL_STAGES)}")
+        table.append(row)
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def test_binarize_equals_tuple_list_reference():
         ref_keys, ref = reference_binarize(raw)
         assert keys == ref_keys
         assert (table.M, table.N) == (ref.M, ref.N)
-        for got, want in ((table.codes, ref.codes), (table.indptr, ref.indptr), (table.indices, ref.indices)):
+        for got, want in ((table.codes, ref.codes), (table.indptr, ref.indptr)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -515,6 +515,47 @@ def test_contains_matches_pair_set_and_brute_force():
                 assert bool(table.contains(u, i)) == bool(table.contains(np.int64(u), np.int32(i))) == ((u, i) in want)
         for pair in [(M, 0), (0, N), (-1, 0), (0, -1), (M, N), (2**70, 0)]:  # out of range: only the set view
             assert pair not in table.positives and pair not in want
+
+
+def test_table_views_on_degenerate_shapes_match_brute_force():
+    rng = np.random.default_rng(25)
+    shapes = [(0, 0), (0, 5), (4, 0), (5, 1), (1, 1), (3, 4)]
+    shapes += [tuple(rng.integers(1, 8, 2).tolist()) for _ in range(30)]
+    for case, (M, N) in enumerate(shapes):
+        mask = rng.random((M, N)) < rng.uniform(0.0, 1.0)
+        if case % 3 == 0:
+            mask[:] = False  # an empty table
+        elif M:
+            mask[int(rng.integers(0, M))] = True  # a user who voted every item
+        want = sorted(map(tuple, np.argwhere(mask).tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = InteractionTable(M, N, want)
+            assert table.pairs.shape == (len(want), 2) and table.pairs.tolist() == [list(p) for p in want]
+            assert table.item_degrees().tolist() == mask.sum(axis=0).tolist()
+            assert table.user_degrees().tolist() == mask.sum(axis=1).tolist()
+            assert table.per_user == [np.flatnonzero(row).tolist() for row in mask]
+            assert all(type(i) is int for row in table.per_user for i in row)
+            assert np.array_equal(table.dense_rows(0, M), mask)
+            users, items = np.meshgrid(np.arange(-1, M + 1), np.arange(-1, N + 1), indexing="ij")
+            inside = (users >= 0) & (users < M) & (items >= 0) & (items < N)
+            brute = np.zeros(users.shape, bool)
+            brute[inside] = mask[users[inside], items[inside]]
+            assert table.contains(users, items).tolist() == brute.tolist()
+            assert [bool(table.contains(u, i)) for u, i in zip(users.flat, items.flat)] == brute.ravel().tolist()
+
+
+def test_contains_is_false_for_items_out_of_range():
+    assert not InteractionTable(2, 3, [(1, 0)]).contains(0, 3)
+    # (u, -1) has the code of (u - 1, N - 1), and (u, N) that of (u + 1, 0)
+    table = InteractionTable(3, 3, [(0, 2), (1, 0), (1, 2), (2, 0)])
+    for item in (-1, 3, -2**62):
+        users = np.arange(3)
+        assert table.contains(users, np.full(3, item)).tolist() == [False] * 3
+        got = table.contains(users[:, None], np.array([[item, 0]]))
+        assert got.tolist() == [[False, False], [False, True], [False, True]]
+        assert not any(bool(table.contains(u, item)) or bool(table.contains(np.int64(u), np.int64(item)))
+                       for u in range(3))
 
 
 def test_load_split_names_file_and_line(tmp_path):

@@ -125,6 +125,18 @@ def test_evaluate_excludes_train_positives():
     assert without.f1[1] == 0.0
 
 
+def test_evaluate_padding_is_never_a_hit():
+    # user 1 has one candidate left, so its top-k is padded with -1; user 0 holds item N - 1,
+    # whose code u*N + N - 1 is the one that (1, -1) would give
+    train = InteractionTable(2, 4, [(1, 1), (1, 2), (1, 3)])
+    heldout = InteractionTable(2, 4, [(0, 3), (1, 0)])
+    scores = np.array([[0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]])
+    for ks in ((2, 5, 10, 20), (1, 2)):
+        report = evaluate(lambda u: scores[u], heldout, train, ks)
+        assert report == evaluate_reference(lambda u: scores[u], heldout, train, ks)
+        assert report.f1[2] == pytest.approx((2 / 3 + 2 / 3) / 2)
+
+
 def test_metrics_monotone_transform_invariant():
     rng = np.random.default_rng(1)
     M, N = 6, 15

@@ -749,6 +749,36 @@ def test_cli_plots_rejects_ragged_results_row(tmp_path, capsys):
     assert f"{results}:3: expected 3 fields, got 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", " has no grid rows and no --summary is given"),
+    ("stage,rho,val_f1@2\n", " has no grid rows and no --summary is given"),
+    ("stage,rho,val_f1@2\nrhoo,1,0.5\n", ":2: stage 'rhoo' is missing or unknown; valid stages: "),
+    ("stage,rho,val_f1@2\nrho,1,0.5\n,2,0.5\n", ":3: stage None is missing or unknown; valid stages: "),
+    ("stage,rho\nrho,1\n", ":1: header has no 'val_f1@2' column"),
+    ("rho,val_f1@2\n1,0.5\n", ":1: header has no 'stage' column"),
+], ids=["empty", "header-only", "unknown-stage", "no-stage", "no-metric-column", "no-stage-column"])
+def test_cli_plots_rejects_results_it_cannot_plot(tmp_path, capsys, text, message):
+    results = tmp_path / "grid_results.csv"
+    results.write_text(text)
+    out = tmp_path / "plots"
+    assert cli.main(["plots", "--results", str(results), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {results}{message}")
+    assert (",".join(experiment.ALL_STAGES) in err) == ("valid stages" in message)
+    assert not out.exists()
+
+
+def test_cli_plots_summary_with_header_only_results(tmp_path, capsys):
+    results = tmp_path / "grid_results.csv"
+    results.write_text("stage,rho,val_f1@2\n")
+    summary = tmp_path / "summary.json"
+    summary.write_text(json.dumps({"method": "BPO", "mean_test": GOOD_MEAN_TEST}))
+    out = tmp_path / "plots"
+    assert cli.main(["plots", "--results", str(results), "--summary", str(summary), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [str(out / "metric_vs_k.csv")]
+    assert os.listdir(out) == ["metric_vs_k.csv"]
+
+
 def test_cli_plots_rejects_summary_without_mean_test(tmp_path, capsys):
     results = tmp_path / "grid_results.csv"
     results.write_text("stage,rho,val_f1@2\nrho,1,0.5\n")
