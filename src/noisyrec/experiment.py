@@ -321,7 +321,8 @@ def read_results_table(path) -> List[dict]:
     """A grid_results.csv's rows as str dicts without their empty fields.
 
     Raises ParseError naming the line for a ragged row, a row whose stage is
-    missing or unknown, and a header without a stage or val_f1@2 column above rows.
+    missing or unknown, a row whose val_f1@2 is not a number in [0, 1], and a
+    header without a stage or val_f1@2 column above rows.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
@@ -337,6 +338,13 @@ def read_results_table(path) -> List[dict]:
         if row.get("stage") not in ALL_STAGES:
             raise corpus.ParseError(path, lineno, f"stage {row.get('stage')!r} is missing or unknown; "
                                                   f"valid stages: {','.join(ALL_STAGES)}")
+        score = row.get("val_f1@2")
+        try:
+            in_range = 0.0 <= float(score) <= 1.0  # NaN fails the comparison too
+        except (TypeError, ValueError):  # missing (None) or not a float
+            in_range = False
+        if not in_range:
+            raise corpus.ParseError(path, lineno, f"val_f1@2 {score!r} is missing or not a number in [0, 1]")
         table.append(row)
     return table
 

@@ -184,9 +184,15 @@ def _point_terms(optimizer: Optimizer, r, g, n: int):
     """(value, c_theta, c_phi) over a step's rows: scores r, flip logits g, the n positives first.
 
     value is the unregularized objective of the rows, as a float; c_phi is
-    None for BPO.
+    None for BPO, BPR and WBPR. For BPR/WBPR the negatives come rho per
+    positive, in positive order, and each is the second row of one pair.
     """
     pos, neg = slice(None, n), slice(n, None)
+    if optimizer in PAIRWISE:
+        rho = (len(r) - n) // n
+        x = np.repeat(r[pos], rho) - r[neg]  # r_ui - r_uj per pair
+        c = sigmoid(-x)
+        return float(np.sum(log_sigmoid(x))), np.concatenate([c.reshape(n, rho).sum(axis=1), -c]), None
     if optimizer == Optimizer.BPO:
         x = np.concatenate([r[pos], -r[neg]])  # each row's score signed by its label
         ls = log_sigmoid(x)
@@ -215,7 +221,7 @@ def _point_terms(optimizer: Optimizer, r, g, n: int):
         c_phi = sg * smg * sr
         c_phi[pos] *= -1
         return value, c_theta, c_phi
-    raise ValueError(f"{optimizer} is not a point-wise optimizer")
+    raise ValueError(f"{optimizer} is not an optimizer")
 
 
 def _slots(rows, n):
@@ -263,7 +269,7 @@ def _gather(*parts):
 
 
 def point_step(theta: PreferenceParams, phi: Optional[NoiseParams], batch: Batch, config: TrainConfig) -> float:
-    """One SGD ascent step for BPO / NBPO variants; mutates theta (and phi) in place.
+    """One SGD ascent step for any optimizer; mutates theta (and phi) in place.
 
     Returns the unregularized objective of the batch at the pre-step parameters.
     """
@@ -284,7 +290,7 @@ def point_step(theta: PreferenceParams, phi: Optional[NoiseParams], batch: Batch
         g = np.zeros_like(r)
 
     value, ct, cp = _point_terms(config.optimizer, r, g, n)
-    if config.balance_positives:
+    if config.balance_positives and config.optimizer not in PAIRWISE:
         ct[:n] *= rho
         if cp is not None:
             cp[:n] *= rho
@@ -307,33 +313,8 @@ def point_step(theta: PreferenceParams, phi: Optional[NoiseParams], batch: Batch
 
 
 def pairwise_step(theta: PreferenceParams, batch: Batch, config: TrainConfig) -> float:
-    """One BPR-style step: ascend ln sigma(r_ui - r_uj) per (positive, negative) pair.
-
-    The pairs are (repeat(pos_u, rho), repeat(pos_i, rho), neg_j).
-    Returns the batch objective, the sum of ln sigma(r_ui - r_uj), at the pre-step parameters.
-    """
-    n, rho = len(batch.pos_u), batch.rho
-    users = np.repeat(batch.pos_u, rho)  # the user of every pair
-    m = len(users)
-    items = np.concatenate([np.repeat(batch.pos_i, rho), batch.neg_j])
-    block = _gather((theta.V, batch.pos_i), (theta.U, users), (theta.V, batch.neg_j))
-    Vp, Ub, Vn = block[:n], block[n : n + m], block[n + m :]
-    # a positive's score is the same in its rho pairs; Ub[::rho] are its U rows
-    x = np.repeat(np.einsum("ij,ij->i", Ub[::rho], Vp), rho) - np.einsum("ij,ij->i", Ub, Vn)
-    c = sigmoid(-x)[:, None]
-
-    touched_u, slot_u = _slots(users, theta.U.shape[0])
-    touched_i, slot_i = _slots(items, theta.V.shape[0])
-
-    # gradients in place: dU = c * (V_i - V_j) in Vn; then dV = c * U in Ub, -c * U in Vn
-    Vn3 = Vn.reshape(n, rho, Vn.shape[1])
-    np.subtract(Vp[:, None], Vn3, out=Vn3)
-    Vn *= c
-    _apply_sparse(theta.U, slot_u, Vn, config.eta, config.lambda_theta, touched_u)
-    Ub *= c
-    np.negative(Ub, out=Vn)
-    _apply_sparse(theta.V, slot_i, block[n:], config.eta, config.lambda_theta, touched_i)
-    return float(np.sum(log_sigmoid(x)))
+    """point_step with no phi: for BPR/WBPR, ascend ln sigma(r_ui - r_uj) per (positive, negative) pair."""
+    return point_step(theta, None, batch, config)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +326,8 @@ def dense_gradient(optimizer: Optimizer, terms, theta: PreferenceParams, phi: No
 
     Includes the full-matrix regularizer gradient, so the result matches
     central finite differences of the corresponding objective function.
-    For NBPO_SS this is the surrogate direction, not a true gradient.
+    For NBPO_SS this is the surrogate direction, not a true gradient. For
+    BPR/WBPR the negative terms must come rho per positive, in term order.
     """
     terms = [t for t in terms if t.label == 1] + [t for t in terms if t.label == 0]
     users = np.array([t.u for t in terms])
@@ -357,7 +339,7 @@ def dense_gradient(optimizer: Optimizer, terms, theta: PreferenceParams, phi: No
     grads = []
     for (A, B), c, lam in (((theta.U, theta.V), ct, reg.lambda_theta), ((phi.P, phi.Q), cp, reg.lambda_phi)):
         dA, dB = np.zeros_like(A), np.zeros_like(B)
-        if c is not None:  # BPO has no phi term
+        if c is not None:  # BPO, BPR and WBPR have no phi term
             np.add.at(dA, users, c[:, None] * B[items])
             np.add.at(dB, items, c[:, None] * A[users])
             dA -= lam * A
@@ -415,11 +397,7 @@ def train(dataset: SplitDataset, config: TrainConfig, exclude_train: bool = True
         for start in range(0, len(shuffled), config.batch_size):
             pos_u, pos_i = np.divmod(shuffled[start : start + config.batch_size], N)
             neg_j = sampler.sample(pos_u, config.rho, rng)
-            batch = Batch(pos_u, pos_i, neg_j)
-            if config.optimizer in PAIRWISE:
-                objective += pairwise_step(theta, batch, config)
-            else:
-                objective += point_step(theta, phi, batch, config)
+            objective += point_step(theta, phi, Batch(pos_u, pos_i, neg_j), config)
 
         blown = _divergence(theta, phi, objective)
         if blown:

@@ -1,9 +1,11 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from noisyrec.corpus import InteractionTable, SplitDataset, split
 from noisyrec.model import NoiseParams, PreferenceParams
-from noisyrec.objective import SampleTerm
+from noisyrec.objective import SampleTerm, sigmoid
 
 
 def random_table(rng, M=None, N=None, density=0.3) -> InteractionTable:
@@ -68,3 +70,32 @@ def blocky_split() -> SplitDataset:
                 pairs.add((u, i))
     table = InteractionTable(M, N, pairs)
     return split(table, seed=3)
+
+
+@dataclass
+class PlantedSplit:
+    """A split observed through planted flips, with the truth it was drawn from (each (M, N))."""
+
+    split: SplitDataset
+    preference: np.ndarray  # true preference logits
+    flip: np.ndarray  # flip logits g: a true positive is hidden with probability sigma(g)
+    hidden: np.ndarray  # the true positives that were hidden (observed as 0)
+
+
+def planted_split(seed, M=600, N=400, rank=6, flip_rank=2, positive_share=0.05, split_seed=0) -> PlantedSplit:
+    """Seeded planted data: the top positive_share of noisy preference logits are true positives.
+
+    The preference logit is a rank-`rank` product times 2 plus an item-popularity
+    term (0.5 x a normal draw per item); logistic noise on it picks the true
+    positives. Each is hidden with probability sigma(g), g an independent
+    rank-`flip_rank` logit of mean 0, and the rest are split 80/10/10.
+    """
+    rng = np.random.default_rng(seed)
+    preference = 2 * (rng.normal(size=(M, rank)) @ rng.normal(size=(rank, N)))
+    preference += 0.5 * rng.normal(size=N)
+    noisy = preference + rng.logistic(size=(M, N))
+    true = noisy >= np.quantile(noisy, 1 - positive_share)
+    flip = rng.normal(size=(M, flip_rank)) @ rng.normal(size=(flip_rank, N))
+    hidden = true & (rng.random((M, N)) < sigmoid(flip))
+    observed = InteractionTable(M, N, np.argwhere(true & ~hidden))
+    return PlantedSplit(split(observed, seed=split_seed), preference, flip, hidden)

@@ -756,7 +756,14 @@ def test_cli_plots_rejects_ragged_results_row(tmp_path, capsys):
     ("stage,rho,val_f1@2\nrho,1,0.5\n,2,0.5\n", ":3: stage None is missing or unknown; valid stages: "),
     ("stage,rho\nrho,1\n", ":1: header has no 'val_f1@2' column"),
     ("rho,val_f1@2\n1,0.5\n", ":1: header has no 'stage' column"),
-], ids=["empty", "header-only", "unknown-stage", "no-stage", "no-metric-column", "no-stage-column"])
+    ("stage,rho,val_f1@2\nrho,1,\nrho,2,abc\n", ":2: val_f1@2 None is missing or not a number in [0, 1]"),
+    ("stage,rho,val_f1@2\nrho,1,0.5\nrho,2,abc\n", ":3: val_f1@2 'abc' is missing or not a number in [0, 1]"),
+    ("stage,rho,val_f1@2\nrho,1,nan\nrho,2,inf\n", ":2: val_f1@2 'nan' is missing or not a number in [0, 1]"),
+    ("stage,rho,val_f1@2\nrho,1,0.5\nrho,2,inf\n", ":3: val_f1@2 'inf' is missing or not a number in [0, 1]"),
+    ("stage,rho,val_f1@2\nrho,1,1.5\n", ":2: val_f1@2 '1.5' is missing or not a number in [0, 1]"),
+    ("stage,rho,val_f1@2\nrho,1,-0.1\n", ":2: val_f1@2 '-0.1' is missing or not a number in [0, 1]"),
+], ids=["empty", "header-only", "unknown-stage", "no-stage", "no-metric-column", "no-stage-column",
+        "empty-metric", "text-metric", "nan-metric", "inf-metric", "metric-above-1", "negative-metric"])
 def test_cli_plots_rejects_results_it_cannot_plot(tmp_path, capsys, text, message):
     results = tmp_path / "grid_results.csv"
     results.write_text(text)

@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from noisyrec.baselines import baseline_scorer
 from noisyrec.corpus import InteractionTable, SplitDataset, sorted_unique, split
+from noisyrec.evaluation import evaluate, mf_scorer
 from noisyrec.experiment import ExperimentSpec
 from noisyrec.model import PreferenceParams
 from noisyrec.objective import (
+    RegSpec,
     bpo_loglik,
     log_sigmoid,
     nbpo_loglik,
@@ -22,12 +25,13 @@ from noisyrec.trainer import (
     TrainConfig,
     _BatchSampler,
     _point_terms,
+    dense_gradient,
     pairwise_step,
     point_step,
     train,
 )
 
-from conftest import make_terms, random_params
+from conftest import fd_gradient, make_terms, planted_split, random_params
 
 
 def make_train_table():
@@ -291,13 +295,14 @@ def test_step_objective_matches_scalar_references():
     assert value == pytest.approx(sum(log_sigmoid(float(v)) for v in x), rel=1e-12)
 
 
+SATURATED_GRID = np.array([-1e3, -800.0, -40.0, -1.0, 0.0, 1.0, 40.0, 800.0, 1e3])  # log_sigmoid's promised range
+
+
 def test_point_terms_finite_at_saturated_logits():
-    grid = np.array([-1e3, -800.0, -40.0, -1.0, 0.0, 1.0, 40.0, 800.0, 1e3])
-    r, g = (a.ravel() for a in np.meshgrid(grid, grid))
+    r, g = (a.ravel() for a in np.meshgrid(SATURATED_GRID, SATURATED_GRID))
     for optimizer in Optimizer:
-        if optimizer in PAIRWISE:
-            continue
-        value, *coefficients = _point_terms(optimizer, np.concatenate([r, r]), np.concatenate([g, g]), len(r))
+        # the grid is symmetric, so the negatives at -r cover it too, and a pair's r_ui - r_uj = 2r reaches +-2e3
+        value, *coefficients = _point_terms(optimizer, np.concatenate([r, -r]), np.concatenate([g, g]), len(r))
         assert np.isfinite(value), optimizer
         for c in coefficients:
             assert c is None or np.all(np.isfinite(c)), optimizer
@@ -316,6 +321,51 @@ def test_point_terms_finite_at_saturated_logits():
         value = pairwise_step(theta, batch, config(optimizer=Optimizer.BPR, eta=0.1))
         assert np.isfinite(value)
         assert np.all(np.isfinite(theta.U)) and np.all(np.isfinite(theta.V))
+
+
+def test_nbpo_o_is_bpo_with_reweighted_negatives():
+    # on a negative, NBPO_O's c_theta is BPO's times w = sigma(-g) sigma(-r) / (sigma(-r) + sigma(g) sigma(r)),
+    # the posterior that an observed 0 is a true negative; its positives' are BPO's
+    rng = np.random.default_rng(19)
+    r_grid, g_grid = (a.ravel() for a in np.meshgrid(SATURATED_GRID, SATURATED_GRID))
+    r = np.concatenate([rng.normal(0, 4, 10_000), r_grid])
+    g = np.concatenate([rng.normal(0, 4, 10_000), g_grid])
+    n = 5000
+    _, bpo, _ = _point_terms(Optimizer.BPO, r, g, n)
+    _, nbpo_o, _ = _point_terms(Optimizer.NBPO_O, r, g, n)
+    assert np.array_equal(nbpo_o[:n], bpo[:n])
+    neg_r, neg_g = r[n:], g[n:]
+    log_w = log_sigmoid(-neg_g) + log_sigmoid(-neg_r) - np.logaddexp(log_sigmoid(-neg_r),
+                                                                     log_sigmoid(neg_g) + log_sigmoid(neg_r))
+    got, want = nbpo_o[n:], bpo[n:] * np.exp(log_w)
+    tiny = np.maximum(np.abs(got), np.abs(want)) < 1e-300
+    assert np.all(np.abs(got - want)[tiny] <= 1e-300)
+    rel = np.abs(got - want)[~tiny] / np.abs(want)[~tiny]
+    assert rel.max() <= 1e-12, (neg_r[~tiny][rel.argmax()], neg_g[~tiny][rel.argmax()], rel.max())
+
+
+def test_bpr_dense_gradient_matches_finite_differences():
+    # criterion 01's check for the pairwise objective sum ln sigma(r_ui - r_uj) - lambda_theta/2 |theta|^2,
+    # with rho negatives of the positive's user after each positive, in positive order
+    reg = RegSpec(lambda_theta=0.1, lambda_phi=0.05)
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        theta, phi = random_params(rng, 5, 5, 3, 2)
+        rho = int(rng.integers(1, 4))
+        pos = [(int(u), int(i)) for u, i in rng.integers(0, 5, (4, 2))]
+        neg = [(u, int(j)) for u, _ in pos for j in rng.integers(0, 5, rho)]
+
+        def value():
+            x = [theta.U[u] @ theta.V[i] - theta.U[u] @ theta.V[j]
+                 for k, (u, i) in enumerate(pos) for (_, j) in neg[k * rho : (k + 1) * rho]]
+            return sum(log_sigmoid(float(v)) for v in x) - 0.5 * reg.lambda_theta * theta.sq_norm()
+
+        for optimizer in PAIRWISE:
+            analytic = dense_gradient(optimizer, make_terms(theta, phi, pos, neg), theta, phi, reg)
+            for mat, grad in zip((theta.U, theta.V, phi.P, phi.Q), analytic):
+                fd = fd_gradient(value, mat)
+                err = np.abs(grad - fd) / np.maximum(1.0, np.abs(grad))
+                assert err.max() <= 1e-5, (optimizer, seed, rho, err.max())
 
 
 # reference steps: one 2-D np.add.at per row group, the positive group first, and fresh
@@ -351,7 +401,7 @@ def reference_point_step(theta, phi, batch, config):
     value, ct, cp = _point_terms(config.optimizer, np.concatenate([r_pos, r_neg]), np.concatenate([g_pos, g_neg]), n)
     ct_pos, ct_neg = ct[:n], ct[n:]
     cp_pos, cp_neg = (None, None) if cp is None else (cp[:n], cp[n:])
-    if config.balance_positives:
+    if config.balance_positives and config.optimizer not in PAIRWISE:
         ct_pos = ct_pos * config.rho
         if cp_pos is not None:
             cp_pos = cp_pos * config.rho
@@ -392,6 +442,9 @@ def reference_pairwise_step(theta, batch, config):
 
 
 def test_steps_bit_identical_to_reference():
+    # BPR/WBPR run through the point-wise step too: bit for bit equal to reference_point_step, and
+    # within rounding of reference_pairwise_step, which sums each pair's c * (V_i - V_j) into U. An
+    # entry near 0 is a difference of O(1) terms, so the rounding is relative to the matrix's largest
     rng = np.random.default_rng(12)
     M, N, K = 5, 6, 4  # few rows, so users and items repeat within and across the groups
     seen = {"repeat_within": 0, "repeat_across": 0}
@@ -407,13 +460,17 @@ def test_steps_bit_identical_to_reference():
             batch = Batch(pos_u, rng.integers(0, N, n), rng.integers(0, N, n * rho))
             seen["repeat_within"] += len(np.unique(batch.neg_j)) < len(batch.neg_j)
             seen["repeat_across"] += bool(np.intersect1d(batch.pos_i, batch.neg_j).size)
+            case = (optimizer, balance, lam, L, rho, step)
             if optimizer in PAIRWISE:
+                pair_theta = theta.copy()
+                pair_value = reference_pairwise_step(pair_theta, batch, cfg)
                 value = pairwise_step(theta, batch, cfg)
-                expected = reference_pairwise_step(ref_theta, batch, cfg)
+                assert value == pair_value, case
+                for got, want in ((theta.U, pair_theta.U), (theta.V, pair_theta.V)):
+                    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), case
             else:
                 value = point_step(theta, phi, batch, cfg)
-                expected = reference_point_step(ref_theta, ref_phi, batch, cfg)
-            case = (optimizer, balance, lam, L, rho, step)
+            expected = reference_point_step(ref_theta, ref_phi, batch, cfg)
             assert value == expected, case
             for got, want in ((theta.U, ref_theta.U), (theta.V, ref_theta.V), (phi.P, ref_phi.P), (phi.Q, ref_phi.Q)):
                 assert np.array_equal(got, want), case
@@ -511,6 +568,27 @@ def test_train_learns_block_structure(blocky_split):
     hist = train(blocky_split, cfg)
     first = hist.epochs[0].report.f1[2]
     assert hist.best_f1_at_2() > max(first, 0.05)
+
+
+def test_methods_beat_item_popularity_on_planted_split():
+    # a step or batch that loses the per-user signal (each user paired with another row's item, say)
+    # leaves MF at the popularity solution, near ItemPop's F1@2, and every other test still passes.
+    # Each method, at one config, must reach 2x ItemPop's test F1@2 on a planted split; L = 0, as a
+    # learned flip model lowers F1@2 on planted flips. NBPO_S does not learn on this data and is left out
+    ds = planted_split(0).split
+
+    def f1_at_2(scorer):
+        return evaluate(scorer, ds.test, ds.train).f1[2]
+
+    floor = f1_at_2(baseline_scorer("ITEMPOP", ds.train))
+    scores = {"ITEMKNN": f1_at_2(baseline_scorer("ITEMKNN", ds.train))}
+    for optimizer, eta, lam in [(Optimizer.BPR, 0.05, 0.01), (Optimizer.WBPR, 0.05, 0.01), (Optimizer.BPO, 0.05, 0.01),
+                                (Optimizer.NBPO_O, 0.2, 0.1), (Optimizer.NBPO_SS, 0.2, 0.1)]:
+        cfg = TrainConfig(optimizer=optimizer, eta=eta, lambda_theta=lam, rho=3, batch_size=500, K=16, L=0,
+                          max_epochs=30)
+        scores[optimizer.value] = f1_at_2(mf_scorer(train(ds, cfg).best_theta))
+    low = {method: round(score / floor, 2) for method, score in scores.items() if not score >= 2 * floor}
+    assert not low, f"test F1@2 below 2x ItemPop's {floor:.4f}; ratio to it: {low}"
 
 
 def test_config_validation():
