@@ -46,13 +46,14 @@ def _int_objects(values: np.ndarray, n: int) -> list:
     return [ints[v] for v in values.tolist()]
 
 
-def _contains(codes: np.ndarray, N: int, users, items):
-    """Whether each pair's code u * N + i is among the sorted codes; arrays or scalars. False for items off [0, N)."""
-    q = np.asarray(users, dtype=np.int64) * N + items
+def _contains(codes: np.ndarray, M: int, N: int, users, items):
+    """Whether each pair's code u * N + i is among the sorted codes; arrays or scalars. False off [0, M) x [0, N)."""
+    users = np.asarray(users, dtype=np.int64)
+    q = users * N + items
     if not len(codes):
         return np.zeros(np.shape(q), dtype=bool)
     at = np.minimum(np.searchsorted(codes, q), len(codes) - 1)
-    return (codes[at] == q) & (items >= 0) & (items < N)  # with the item in range, no user off the table has a code
+    return (codes[at] == q) & (users >= 0) & (users < M) & (items >= 0) & (items < N)  # u * N wraps for a far-off user
 
 
 class PairSet(Set):
@@ -74,7 +75,7 @@ class PairSet(Set):
             u, i = map(operator.index, pair)  # ints, numpy ints and bools; nothing else
         except (TypeError, ValueError):
             return False
-        return 0 <= u < self._M and 0 <= i < self._N and bool(_contains(self._codes, self._N, u, i))
+        return 0 <= u < self._M and 0 <= i < self._N and bool(_contains(self._codes, self._M, self._N, u, i))
 
     def __iter__(self):
         for lo in range(0, len(self._codes), self._CHUNK):
@@ -116,8 +117,8 @@ class InteractionTable:
         self.indptr = np.searchsorted(self.codes, np.arange(self.M + 1) * self.N)
 
     def contains(self, users, items):
-        """Whether each (users, items) pair is a positive, for arrays or scalars; an item outside [0, N) is not."""
-        return _contains(self.codes, self.N, users, items)
+        """Whether each (users, items) pair is a positive, for arrays or scalars; a pair off the table is not."""
+        return _contains(self.codes, self.M, self.N, users, items)
 
     def dense_rows(self, lo: int, hi: int) -> np.ndarray:
         """Users lo..hi-1 as a dense (hi - lo, N) boolean block."""

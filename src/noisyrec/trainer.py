@@ -138,41 +138,38 @@ class TrainHistory:
 
 
 class _BatchSampler:
-    """Vectorized negative sampling with rejection of the train table's positives."""
+    """Exact negative draws over each user's unvoted items, uniform or weighted by train degree (WBPR).
+
+    Integer item weights w (ones, or the degrees) lie end to end on [0, T). A draw r, uniform on
+    [0, W[u]) with W[u] user u's unvoted weight, lands on its item once the weight of u's voted items
+    before it is added back; one binary search of `keys`, the unvoted weight before each voted item
+    offset by u*T (nondecreasing over all users), counts them. All of it is int64 arithmetic (M*T
+    must fit), so an unvoted item is drawn with probability w / W[u] exactly and none is redrawn. A
+    WBPR user with W[u] = 0 voted every item of nonzero degree and draws uniformly from the rest.
+    """
 
     def __init__(self, train: InteractionTable, weighted: bool = False):
-        self.train = train
-        degrees = train.user_degrees()
-        self.full = degrees >= train.N  # users with no unvoted item
-        self.pop = None
-        if weighted:  # WBPR: each item weighted by its train degree
-            p = train.item_degrees().astype(float)
-            self.pop = p / p.sum()
-            # a voted item has degree >= 1: a user with as many votes as there are such items voted
-            # them all, and draws uniformly (rejection keeps it uniform over their unvoted items)
-            self.flat = degrees >= np.count_nonzero(p)
-
-    def _draw(self, users, rng):
-        if self.pop is None:
-            return rng.integers(0, self.train.N, size=len(users))
-        out = rng.choice(self.train.N, size=len(users), replace=True, p=self.pop)
-        flat = self.flat[users]
-        if flat.any():
-            out[flat] = rng.integers(0, self.train.N, size=int(flat.sum()))
-        return out
+        users, items = np.divmod(train.codes, train.N)
+        w = train.item_degrees() if weighted else np.ones(train.N, dtype=np.int64)
+        self.T = int(w.sum())
+        # the item at each unit of weight, then the degree-0 items, drawn at T + r when W[u] = 0
+        self.item = np.concatenate((np.repeat(np.arange(train.N), w), np.flatnonzero(w == 0)))
+        self.prior = np.concatenate(([0], np.cumsum(w[items])))  # the voted weight before each CSR entry
+        self.keys = users * self.T + (np.cumsum(w) - w)[items] - self.prior[:-1]
+        self.start = self.prior[train.indptr[:-1]]
+        unvoted = self.T - self.prior[train.indptr[1:]] + self.start
+        self.flat = unvoted == 0
+        self.high = np.where(self.flat, len(self.item) - self.T, unvoted)  # 0: the user voted every item
 
     def sample(self, users: np.ndarray, rho: int, rng) -> np.ndarray:
         """rho negatives per user, grouped: uniform, or popularity-weighted, over unvoted items."""
-        full = self.full[users]
-        if full.any():
-            raise ValueError(f"user {users[full][0]} has no unvoted items to sample")
-        neg_u = np.repeat(users, rho)
-        neg_j = self._draw(neg_u, rng)
-        bad = self.train.contains(neg_u, neg_j)
-        while bad.any():
-            neg_j[bad] = self._draw(neg_u[bad], rng)
-            bad[bad] = self.train.contains(neg_u[bad], neg_j[bad])
-        return neg_j
+        high = self.high[users]
+        if not high.all():
+            raise ValueError(f"user {users[high == 0][0]} has no unvoted items to sample")
+        neg_u, r = np.repeat(users, rho), rng.integers(0, np.repeat(high, rho))
+        start = self.start[neg_u]
+        idx = np.searchsorted(self.keys, neg_u * self.T - start + r, side="right")
+        return self.item[np.where(self.flat[neg_u], self.T + r, r + self.prior[idx] - start)]
 
 
 # ---------------------------------------------------------------------------

@@ -558,6 +558,15 @@ def test_contains_is_false_for_items_out_of_range():
                        for u in range(3))
 
 
+def test_contains_is_false_for_users_out_of_range():
+    # u * N + i wraps in int64 for a user far off the table: 2**62 * 4 + 1 is the code of (0, 1)
+    table = InteractionTable(1, 4, [(0, 1)])
+    for user in (2**62, -2**62, 1, -1):
+        assert not table.contains(user, 1) and not table.contains(np.int64(user), np.int64(1))
+        assert (user, 1) not in table.positives
+    assert table.contains(np.array([2**62, -2**62, 0]), np.array([1, 1, 1])).tolist() == [False, False, True]
+
+
 def test_load_split_names_file_and_line(tmp_path):
     empty = InteractionTable(3, 3, [])
     save_split(SplitDataset(InteractionTable(3, 3, [(0, 0), (1, 2)]), empty, empty, seed=4), tmp_path)

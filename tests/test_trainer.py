@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -98,6 +99,61 @@ def test_wbpr_single_candidate():
     table = InteractionTable(2, 2, [(0, 0), (1, 1)])  # item degrees 1, 1
     draws = _BatchSampler(table, weighted=True).sample(np.array([0]), 4, np.random.default_rng(5))
     assert draws.tolist() == [1, 1, 1, 1]
+
+
+def test_sample_matches_exact_probabilities_on_random_tables():
+    # 20,000 draws per user against brute-force probabilities: each unvoted item's weight over the
+    # user's unvoted weight, with WBPR's weight its train degree; a WBPR user with no unvoted weight
+    # draws uniformly over their unvoted items, which then all have degree 0
+    rng = np.random.default_rng(41)
+    n = 20_000
+    masks = [
+        np.zeros((3, 5), bool),  # no positives: under WBPR nothing has weight
+        np.array([[1, 1, 0, 0], [1, 0, 0, 0]], bool),  # user 0 left only items of degree 0 unvoted
+        np.array([[1, 1, 1, 0, 1], [0, 1, 0, 1, 1]], bool),  # users one item short of full
+    ]
+    for _ in range(30):
+        M, N = rng.integers(1, 7, 2)
+        mask = rng.random((M, N)) < rng.uniform(0.0, 0.9)
+        mask[:, rng.random(N) < 0.3] = False  # items of degree 0
+        mask[0] |= mask.any(axis=0)  # user 0 voted every item of nonzero degree
+        mask[-1, rng.permutation(N)[1:]] = True  # the last user is one item short of full
+        masks.append(mask)
+    masks.append(np.array([[1, 1, 1], [1, 0, 0]], bool))  # user 0 voted every item
+    for mask in masks:
+        table = InteractionTable(*mask.shape, np.argwhere(mask))
+        for weighted in (False, True):
+            w = mask.sum(axis=0) if weighted else np.ones(mask.shape[1])
+            p = np.where(mask, 0.0, w)
+            none = p.sum(axis=1) == 0
+            p[none] = ~mask[none]  # WBPR's fallback; still all 0 for a user who voted every item
+            sampler = _BatchSampler(table, weighted=weighted)
+            for u in np.flatnonzero(p.sum(axis=1) == 0):
+                with pytest.raises(ValueError, match=f"user {u} "):
+                    sampler.sample(np.array([u]), 1, rng)
+            users = np.flatnonzero(p.sum(axis=1) > 0)
+            p = p[users] / p[users].sum(axis=1, keepdims=True)
+            draws = sampler.sample(users, n, rng).reshape(len(users), n)
+            counts = np.array([np.bincount(row, minlength=mask.shape[1]) for row in draws]).reshape(p.shape)
+            assert np.array_equal(counts > 0, p > 0)  # never a voted item, nor one of weight 0
+            assert np.all(np.abs(counts - n * p) <= 5 * np.sqrt(n * p * (1 - p)))  # within 5 binomial sigma
+
+
+def test_sample_time_is_bounded_for_a_user_with_one_unvoted_item():
+    # user 0 voted every item but item 0, of degree 1: a redraw would succeed once in 2000 uniform
+    # draws, and once in about 1 / 9e-5 popularity-weighted ones
+    rng = np.random.default_rng(43)
+    mask = rng.random((300, 2000)) < 0.015
+    mask[:, 0] = False
+    mask[0, 1:] = mask[1, 0] = True
+    table = InteractionTable(300, 2000, np.argwhere(mask))
+    for weighted in (False, True):
+        sampler = _BatchSampler(table, weighted=weighted)
+        start = time.perf_counter()
+        draws = sampler.sample(np.zeros(200, dtype=np.int64), 3, rng)
+        elapsed = time.perf_counter() - start
+        assert draws.tolist() == [0] * 600
+        assert elapsed < 0.1, f"weighted={weighted}: one call took {elapsed:.3f} s"
 
 
 # --------------------------------------------------------------------------
