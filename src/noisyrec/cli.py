@@ -14,14 +14,6 @@ from noisyrec.model import load_checkpoint
 from noisyrec.trainer import TrainConfig
 
 
-def parse_bool(text: str) -> bool:
-    """1/0/true/false/yes/no, in any case."""
-    value = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}.get(text.lower())
-    if value is None:
-        raise ValueError(f"expected 1/0/true/false/yes/no, got {text!r}")
-    return value
-
-
 TRAIN_FIELDS = frozenset(f.name for f in dataclasses.fields(TrainConfig))  # the rest set ExperimentSpec fields
 
 
@@ -59,8 +51,6 @@ TRAIN_OPTIONS = (
     TrainOption("epochs", "max_epochs", int),
     TrainOption("seed", "seed", int),
     TrainOption("repeats", "repeat_count", int),
-    TrainOption("balance_positives", "balance_positives", parse_bool),
-    TrainOption("exclude_train", "exclude_train", parse_bool),
 )
 
 
@@ -100,16 +90,8 @@ def add_dataset_flags(p: argparse.ArgumentParser):
 
 
 def add_train_flags(p: argparse.ArgumentParser):
-    fields = dataclasses.fields(TrainConfig) + dataclasses.fields(experiment.ExperimentSpec)
-    defaults = {f.name: f.default for f in fields}
     for opt in TRAIN_OPTIONS:
-        flag = "--" + opt.key.replace("_", "-")
-        if opt.parse is parse_bool:  # the flag sets the opposite of the field's default
-            on = defaults[opt.field]
-            p.add_argument(flag.replace("--", "--no-") if on else flag, action="store_const", const=not on,
-                           default=None, dest=opt.key, help=opt.help)
-        else:
-            p.add_argument(flag, type=opt.read, default=None, dest=opt.key, help=opt.help)
+        p.add_argument("--" + opt.key.replace("_", "-"), type=opt.read, default=None, dest=opt.key, help=opt.help)
     p.add_argument("--config", default=None, help="flat key=value config file")
 
 
@@ -167,8 +149,7 @@ def cmd_eval(args):
             raise ValueError(f"checkpoint {args.checkpoint} is {shape[0]}x{shape[1]} (users x items), "
                              f"but the split in {args.split_dir} is {split_shape[0]}x{split_shape[1]}")
         scorer = mf_scorer(theta)
-    report = evaluate(scorer, heldout, dataset.train,
-                      exclude_train=not args.no_exclude_train)
+    report = evaluate(scorer, heldout, dataset.train)
     out = {"f1": report.f1, "ndcg": report.ndcg, "n_users": report.n_users_evaluated}
     print(json.dumps(out, indent=2, sort_keys=True))
 
@@ -211,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="checkpoint", choices=("checkpoint", *experiment.BASELINE_METHODS))
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--neighbors", type=TrainOption("knn_neighbors", "knn_neighbors", int).read, default=50)
-    p.add_argument("--no-exclude-train", action="store_true")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("plots", help="emit plot-data CSVs from grid results")

@@ -48,7 +48,7 @@ def _int_objects(values: np.ndarray, n: int) -> list:
 
 def _contains(codes: np.ndarray, M: int, N: int, users, items):
     """Whether each pair's code u * N + i is among the sorted codes; arrays or scalars. False off [0, M) x [0, N)."""
-    users = np.asarray(users, dtype=np.int64)
+    users, items = np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64)
     q = users * N + items
     if not len(codes):
         return np.zeros(np.shape(q), dtype=bool)
@@ -117,7 +117,7 @@ class InteractionTable:
         self.indptr = np.searchsorted(self.codes, np.arange(self.M + 1) * self.N)
 
     def contains(self, users, items):
-        """Whether each (users, items) pair is a positive, for arrays or scalars; a pair off the table is not."""
+        """Whether each (users, items) pair is a positive, for arrays, lists or scalars; a pair off the table is not."""
         return _contains(self.codes, self.M, self.N, users, items)
 
     def dense_rows(self, lo: int, hi: int) -> np.ndarray:

@@ -63,12 +63,11 @@ def evaluate(
     heldout: InteractionTable,
     train: InteractionTable,
     ks=EVAL_KS,
-    exclude_train: bool = True,
 ) -> MetricReport:
     """Rank items per user, compute F1@k and NDCG@k, average over evaluated users.
 
     Users with no held-out positives are skipped entirely (not counted as zero).
-    Train positives are excluded from ranking candidates unless disabled.
+    Train positives are never ranking candidates.
     Users are ranked in row blocks; each user's metrics equal f1_at_k/ndcg_at_k, summed in user order.
     """
     kmax, cols = max(ks), np.array(ks) - 1
@@ -82,8 +81,7 @@ def evaluate(
         users = np.flatnonzero(n_rel)
         n_rel = n_rel[users, None]
         scores = np.array([scorer(lo + u) for u in users.tolist()], dtype=float).reshape(len(users), heldout.N)
-        excluded = train.dense_rows(lo, hi)[users] if exclude_train else np.zeros(scores.shape, bool)
-        top = topk_from_scores(scores, kmax, excluded)
+        top = topk_from_scores(scores, kmax, train.dense_rows(lo, hi)[users])
         hit = heldout.contains((lo + users)[:, None], top)  # the -1 that pads a short row is no item
         n_hits = np.cumsum(hit, axis=1)[:, cols]
         precision, recall = n_hits / (cols + 1), n_hits / n_rel

@@ -16,7 +16,7 @@ import numpy as np
 
 from noisyrec import baselines, corpus
 from noisyrec.evaluation import EVAL_KS, evaluate, mf_scorer
-from noisyrec.trainer import NOISE_AWARE, Optimizer, TrainConfig, check_bools, check_ints, train
+from noisyrec.trainer import NOISE_AWARE, Optimizer, TrainConfig, check_ints, train
 
 BASELINE_METHODS = ("ITEMPOP", "ITEMKNN")
 DATASETS = ("movielens", "amazon", "split")
@@ -36,12 +36,10 @@ class ExperimentSpec:
     config: TrainConfig = field(default_factory=TrainConfig)
     knn_neighbors: int = 50
     repeat_count: int = 10
-    exclude_train: bool = True
     cache_dir: Optional[str] = None
 
     def __post_init__(self):
         check_ints(self, ("kcore", "split_seed", "knn_neighbors", "repeat_count"))
-        check_bools(self, ("exclude_train",))
         for name in ("kcore", "knn_neighbors", "repeat_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -120,15 +118,14 @@ def run(spec: ExperimentSpec, dataset: Optional[corpus.SplitDataset] = None) -> 
     }
     if spec.method in BASELINE_METHODS:
         scorer = baselines.baseline_scorer(spec.method, dataset.train, spec.knn_neighbors)
-        summary["repeats"] = [{name: _report_dict(evaluate(scorer, getattr(dataset, name), dataset.train,
-                                                           EVAL_KS, spec.exclude_train))
+        summary["repeats"] = [{name: _report_dict(evaluate(scorer, getattr(dataset, name), dataset.train))
                                for name in ("validation", "test")}]
     else:
         summary["config"] = dataclasses.asdict(spec.config)
         repeats = []
         for rep in range(spec.repeat_count):
             cfg = replace(spec.config, seed=spec.config.seed + rep)
-            history = train(dataset, cfg, exclude_train=spec.exclude_train)
+            history = train(dataset, cfg)
             if history.best_epoch < 0:
                 raise ValueError(f"{cfg.optimizer.value} seed {cfg.seed} diverged at epoch 0: no snapshot to test")
             _write_csv(os.path.join(spec.output_dir, f"epochs_seed{cfg.seed}.csv"),
@@ -136,10 +133,7 @@ def run(spec: ExperimentSpec, dataset: Optional[corpus.SplitDataset] = None) -> 
                        [[rec.epoch, f"{rec.objective:.10g}",
                          *(f"{getattr(rec.report, m)[k]:.10g}" for m in ("f1", "ndcg") for k in EVAL_KS)]
                         for rec in history.epochs])
-            test = evaluate(
-                mf_scorer(history.best_theta), dataset.test, dataset.train,
-                EVAL_KS, spec.exclude_train,
-            )
+            test = evaluate(mf_scorer(history.best_theta), dataset.test, dataset.train)
             best = history.epochs[history.best_epoch].report
             repeats.append({
                 "seed": cfg.seed,
@@ -254,17 +248,16 @@ def _stage_cells(stage: Stage, grid: GridSpec, best: TrainConfig, noise_aware: b
 
 
 def _eval_cell(args) -> float:
-    dataset, config, exclude_train = args
-    history = train(dataset, config, exclude_train=exclude_train)
-    return history.best_f1_at_2()
+    dataset, config = args
+    return train(dataset, config).best_f1_at_2()
 
 
-def _run_cells(dataset, configs, exclude_train) -> List[float]:
+def _run_cells(dataset, configs) -> List[float]:
     value = os.environ.get("NOISYREC_WORKERS", "1")
     workers = int(value) if value.strip().isdecimal() else 0
     if workers < 1:
         raise ValueError(f"NOISYREC_WORKERS must be a positive int, got {value!r}")
-    args = [(dataset, cfg, exclude_train) for cfg in configs]
+    args = [(dataset, cfg) for cfg in configs]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_eval_cell, args))
@@ -302,7 +295,7 @@ def grid_search(
         cells = _stage_cells(stage, grid, best, noise_aware)
         # a cell's seed offset is its row in the results table
         configs = [replace(best, **cell, seed=spec.config.seed + len(table) + n) for n, cell in enumerate(cells)]
-        scores = _run_cells(dataset, configs, spec.exclude_train)
+        scores = _run_cells(dataset, configs)
         table.extend({"stage": stage.name, **cell, "val_f1@2": score} for cell, score in zip(cells, scores))
         best = replace(configs[scores.index(max(scores))], seed=spec.config.seed)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,8 @@ class InitSpec:
     scale: float = 0.01  # stddev of zero-mean Gaussian entries
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
 
 
 def init_params(M: int, N: int, K: int, L: int, spec: InitSpec):

@@ -47,14 +47,6 @@ def check_ints(obj, names):
             raise ValueError(f"{name} must be an int, got {value!r}")
 
 
-def check_bools(obj, names):
-    """Raise ValueError naming the first field in `names` whose value on obj is not a bool."""
-    for name in names:
-        value = getattr(obj, name)
-        if not isinstance(value, (bool, np.bool_)):  # the string "false" is truthy
-            raise ValueError(f"{name} must be a bool, got {value!r}")
-
-
 @dataclass
 class TrainConfig:
     optimizer: Optimizer = Optimizer.NBPO_SS
@@ -67,7 +59,6 @@ class TrainConfig:
     L: int = 0  # ignored for BPR/WBPR/BPO
     max_epochs: int = 200
     seed: int = 0
-    balance_positives: bool = False
     patience: Optional[int] = None
     init_scale: float = 0.01
 
@@ -75,7 +66,6 @@ class TrainConfig:
         self.optimizer = Optimizer(self.optimizer)
         check_ints(self, ("rho", "batch_size", "K", "L", "max_epochs", "seed")
                    + (("patience",) if self.patience is not None else ()))
-        check_bools(self, ("balance_positives",))
         for name in ("eta", "init_scale", "lambda_theta", "lambda_phi"):
             if not math.isfinite(getattr(self, name)):  # a NaN lambda would train as lambda = 0
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -287,10 +277,6 @@ def point_step(theta: PreferenceParams, phi: Optional[NoiseParams], batch: Batch
         g = np.zeros_like(r)
 
     value, ct, cp = _point_terms(config.optimizer, r, g, n)
-    if config.balance_positives and config.optimizer not in PAIRWISE:
-        ct[:n] *= rho
-        if cp is not None:
-            cp[:n] *= rho
 
     # theta and phi share the rows, so they share the slots
     touched_u, slot_u = _slots(users, theta.U.shape[0])
@@ -359,7 +345,7 @@ def _divergence(theta: PreferenceParams, phi: NoiseParams, objective: float) -> 
     return None
 
 
-def train(dataset: SplitDataset, config: TrainConfig, exclude_train: bool = True) -> TrainHistory:
+def train(dataset: SplitDataset, config: TrainConfig) -> TrainHistory:
     """Run SGD for max_epochs, evaluating on validation after each epoch.
 
     Each epoch shuffles the train positives, cuts them into batches, attaches
@@ -404,7 +390,7 @@ def train(dataset: SplitDataset, config: TrainConfig, exclude_train: bool = True
                 RuntimeWarning, stacklevel=2,
             )
             break
-        report = evaluate(mf_scorer(theta), dataset.validation, train_table, exclude_train=exclude_train)
+        report = evaluate(mf_scorer(theta), dataset.validation, train_table)
         history.epochs.append(EpochRecord(epoch=epoch, objective=objective, report=report))
         if report.f1[2] > best_f1:
             best_f1 = report.f1[2]

@@ -542,6 +542,7 @@ def test_table_views_on_degenerate_shapes_match_brute_force():
             brute = np.zeros(users.shape, bool)
             brute[inside] = mask[users[inside], items[inside]]
             assert table.contains(users, items).tolist() == brute.tolist()
+            assert table.contains(users.tolist(), items.tolist()).tolist() == brute.tolist()
             assert [bool(table.contains(u, i)) for u, i in zip(users.flat, items.flat)] == brute.ravel().tolist()
 
 
@@ -565,6 +566,7 @@ def test_contains_is_false_for_users_out_of_range():
         assert not table.contains(user, 1) and not table.contains(np.int64(user), np.int64(1))
         assert (user, 1) not in table.positives
     assert table.contains(np.array([2**62, -2**62, 0]), np.array([1, 1, 1])).tolist() == [False, False, True]
+    assert table.contains([0, 0], [1, 2]).tolist() == [True, False]  # lists are read as arrays
 
 
 def test_load_split_names_file_and_line(tmp_path):

@@ -7,7 +7,7 @@ from noisyrec.evaluation import MetricReport, evaluate, f1_at_k, ndcg_at_k
 from noisyrec.model import topk_from_scores
 
 
-def evaluate_reference(scorer, heldout, train, ks=(2, 5, 10, 20), exclude_train=True):
+def evaluate_reference(scorer, heldout, train, ks=(2, 5, 10, 20)):
     """Per-user ranking (setdiff1d + lexsort) and set-based metrics, summed in user order."""
     kmax = max(ks)
     f1_sums = {k: 0.0 for k in ks}
@@ -18,8 +18,7 @@ def evaluate_reference(scorer, heldout, train, ks=(2, 5, 10, 20), exclude_train=
         if not relevant:
             continue
         scores = np.asarray(scorer(u), dtype=float)
-        excluded = np.array(train.per_user[u] if exclude_train else [], dtype=np.int64)
-        candidates = np.setdiff1d(np.arange(scores.shape[0]), excluded)
+        candidates = np.setdiff1d(np.arange(scores.shape[0]), np.array(train.per_user[u], dtype=np.int64))
         topk = candidates[np.lexsort((candidates, -scores[candidates]))[:kmax]].tolist()
         for k in ks:
             f1_sums[k] += f1_at_k(topk, relevant, k)
@@ -119,10 +118,7 @@ def test_evaluate_excludes_train_positives():
     def scorer(u):
         return np.array([9.0, 5.0, 1.0, 0.0])  # train item 0 scores highest
 
-    with_excl = evaluate(scorer, heldout, train, ks=(1,))
-    without = evaluate(scorer, heldout, train, ks=(1,), exclude_train=False)
-    assert with_excl.f1[1] == pytest.approx(1.0)
-    assert without.f1[1] == 0.0
+    assert evaluate(scorer, heldout, train, ks=(1,)).f1[1] == pytest.approx(1.0)
 
 
 def test_evaluate_padding_is_never_a_hit():
@@ -250,17 +246,14 @@ def test_blocked_evaluate_equals_per_user_reference(monkeypatch, block_rows):
         if block_rows is not None:  # M is often not a multiple of the block rows
             monkeypatch.setattr(evaluation, "_BLOCK_CELLS", block_rows * N)
         train, heldout, scores = random_case(rng, M, N)
-        for exclude_train in (True, False):
-            for ks in ((2, 5, 10, 20), (1, 3)):
-                got = evaluate(lambda u: scores[u], heldout, train, ks, exclude_train)
-                want = evaluate_reference(lambda u: scores[u], heldout, train, ks, exclude_train)
-                assert got == want, (trial, M, N, exclude_train, ks)
+        for ks in ((2, 5, 10, 20), (1, 3)):
+            got = evaluate(lambda u: scores[u], heldout, train, ks)
+            want = evaluate_reference(lambda u: scores[u], heldout, train, ks)
+            assert got == want, (trial, M, N, ks)
 
 
 def test_blocked_evaluate_equals_reference_across_default_blocks():
     M, N = 90, 4000  # 32 rows per block at the default budget: three blocks, the last partial
     assert evaluation._BLOCK_CELLS // N < M
     train, heldout, scores = random_case(np.random.default_rng(7), M, N)
-    for exclude_train in (True, False):
-        got = evaluate(lambda u: scores[u], heldout, train, exclude_train=exclude_train)
-        assert got == evaluate_reference(lambda u: scores[u], heldout, train, exclude_train=exclude_train)
+    assert evaluate(lambda u: scores[u], heldout, train) == evaluate_reference(lambda u: scores[u], heldout, train)

@@ -188,7 +188,7 @@ def fixed_history(dataset, objectives, f1_at_2=0.5):
 
 def test_run_epoch_csv_text(tmp_path, monkeypatch):
     ds = corpus.load_split(write_tiny_split(tmp_path))
-    monkeypatch.setattr(experiment, "train", lambda dataset, cfg, exclude_train: fixed_history(
+    monkeypatch.setattr(experiment, "train", lambda dataset, cfg: fixed_history(
         dataset, [1 / 3, -12.3456789012345, 1e20]))
     run(ExperimentSpec(str(tmp_path / "out"), dataset="split", method="BPO", repeat_count=1), dataset=ds)
     row = "0.5,0.3333333333,0,1,2.5e-07,0.123456789,1e-12,0.6666666667"
@@ -210,7 +210,7 @@ def test_run_failed_replace_keeps_the_old_summary(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", fail)
     with pytest.raises(OSError, match="replace failed"):
-        run(replace(spec, exclude_train=False))
+        run(replace(spec, method="ITEMKNN"))
     assert (tmp_path / "out" / "summary.json").read_bytes() == before
     assert os.listdir(tmp_path / "out") == ["summary.json"]
 
@@ -409,7 +409,7 @@ def test_grid_results_files(tmp_path):
 def test_grid_results_csv_text(tmp_path, monkeypatch):
     ds = corpus.load_split(write_tiny_split(tmp_path))
     # the score of a cell is a function of its config, so the winner and every row are fixed
-    monkeypatch.setattr(experiment, "train", lambda dataset, cfg, exclude_train: fixed_history(
+    monkeypatch.setattr(experiment, "train", lambda dataset, cfg: fixed_history(
         dataset, [0.0], f1_at_2=cfg.eta + cfg.lambda_theta / 4 - cfg.rho / 8))
     spec = ExperimentSpec(str(tmp_path / "out"), dataset="split", method="BPO", config=tiny_config(optimizer="BPO"))
     grid_search(spec, GridSpec(coarse_eta=(1 / 3, 0.25), coarse_lambda=(1.0,), rho_range=(1, 2)),
@@ -668,8 +668,9 @@ def test_cli_config_file_and_flag_override(tmp_path):
 
 
 def test_cli_train_config_defaults_come_from_train_config():
-    args = cli.build_parser().parse_args(["train", "--split-dir", "x", "--out", "y"])
-    assert cli.build_spec(args).config == TrainConfig()
+    # without file or flags: TrainConfig's defaults, and one repeat
+    spec = cli.build_spec(cli.build_parser().parse_args(["train", "--split-dir", "x", "--out", "y"]))
+    assert spec.config == TrainConfig() and spec.repeat_count == 1
 
 
 def test_cli_unknown_config_key(tmp_path):
@@ -679,8 +680,6 @@ def test_cli_unknown_config_key(tmp_path):
         ("etaa = 0.1\n", 1, "etaa"),
         ("# a comment\neta 0.1\n", 2, "eta 0.1"),
         ("eta = 0.1\nrho = 2.5\n", 2, "rho"),
-        ("exclude_train = ture\n", 1, "exclude_train"),
-        ("\nbalance_positives = 2\n", 2, "balance_positives"),
         ("k = ten\n", 1, "'k'"),
         ("optimizer = BPOO\n", 1, "'optimizer'"),
         ("eta = 0.1\n\nrho = 0\n", 3, "'rho'"),
@@ -723,23 +722,26 @@ def test_cli_flag_value_errors_name_the_flag(capsys):
         assert all(word in err for word in words), (argv, err)
 
 
-def test_cli_boolean_config_values(tmp_path):
+def test_removed_options_fail_loudly(tmp_path, capsys):
+    # naming an option the package does not have is an error, never a silent no-op
     parser = cli.build_parser()
-    cfg_path = tmp_path / "run.cfg"
-    for text, value in [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False)]:
-        cfg_path.write_text(f"exclude_train = {text}\nbalance_positives = {text}\n")
+    for n, line in enumerate(["balance_positives = 1", "exclude_train = 0"]):
+        cfg_path = tmp_path / f"old{n}.cfg"
+        cfg_path.write_text(f"eta = 0.1\n{line}\n")
         args = parser.parse_args(["train", "--split-dir", "x", "--out", "y", "--config", str(cfg_path)])
-        spec = cli.build_spec(args)
-        assert spec.exclude_train is value and spec.config.balance_positives is value, text
-    # the flags win over the file
-    cfg_path.write_text("exclude_train = yes\nbalance_positives = no\n")
-    args = parser.parse_args(["train", "--split-dir", "x", "--out", "y", "--config", str(cfg_path),
-                              "--no-exclude-train", "--balance-positives"])
-    spec = cli.build_spec(args)
-    assert spec.exclude_train is False and spec.config.balance_positives is True
-    # without file or flags: TrainConfig's and ExperimentSpec's defaults, and one repeat
-    spec = cli.build_spec(parser.parse_args(["train", "--split-dir", "x", "--out", "y"]))
-    assert spec.exclude_train is True and spec.repeat_count == 1 and spec.config == TrainConfig()
+        with pytest.raises(corpus.ParseError, match=rf"^{re.escape(str(cfg_path))}:2: unknown config key"):
+            cli.build_spec(args)
+    for argv in (["train", "--split-dir", "x", "--out", "y", "--balance-positives"],
+                 ["train", "--split-dir", "x", "--out", "y", "--no-exclude-train"],
+                 ["eval", "--split-dir", "x", "--no-exclude-train"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments: " + argv[-1] in capsys.readouterr().err, argv
+    with pytest.raises(TypeError, match="balance_positives"):
+        TrainConfig(balance_positives=True)
+    with pytest.raises(TypeError, match="exclude_train"):
+        ExperimentSpec("o", exclude_train=False)
 
 
 def test_cli_plots_rejects_ragged_results_row(tmp_path, capsys):

@@ -43,6 +43,10 @@ def test_init_rejects_bad_args():
         init_params(0, 1, 1, 0, InitSpec(seed=0))
     with pytest.raises(ValueError):
         InitSpec(seed=0, scale=0.0)
+    # NaN fails `scale <= 0` as well as `scale > 0`, and inf passes both: neither may draw embeddings
+    for scale in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=rf"^scale must be finite and positive, got {scale}$"):
+            init_params(3, 4, 2, 1, InitSpec(scale=scale))
 
 
 def test_rank_topk_basic():

@@ -306,26 +306,6 @@ def test_step_touches_only_batch_rows():
                 assert np.array_equal(phi.Q[i], Q0[i])
 
 
-def test_balance_positives_scales_positive_update():
-    rng = np.random.default_rng(9)
-    theta1, _ = random_params(rng, 3, 3, 2, 0)
-    theta2 = theta1.copy()
-    U0, V0 = theta1.U.copy(), theta1.V.copy()
-    batch = Batch(
-        pos_u=np.array([0]), pos_i=np.array([0]),
-        neg_j=np.array([1, 2]),
-    )
-    eta = 0.1
-    cfg1 = config(optimizer=Optimizer.BPO, eta=eta, rho=2, K=2)
-    cfg2 = config(optimizer=Optimizer.BPO, eta=eta, rho=2, K=2, balance_positives=True)
-    point_step(theta1, None, batch, cfg1)
-    point_step(theta2, None, batch, cfg2)
-    # rho=2 doubles the positive-term contribution, negatives are unchanged
-    ct_pos = sigmoid(-(U0[0] @ V0[0]))
-    assert np.allclose(theta2.U[0] - theta1.U[0], eta * ct_pos * V0[0], atol=1e-12)
-    assert np.allclose(theta2.V[1], theta1.V[1], atol=1e-15)
-
-
 def test_step_objective_matches_scalar_references():
     rng = np.random.default_rng(10)
     theta, phi = random_params(rng, 4, 5, 3, 2)
@@ -457,10 +437,6 @@ def reference_point_step(theta, phi, batch, config):
     value, ct, cp = _point_terms(config.optimizer, np.concatenate([r_pos, r_neg]), np.concatenate([g_pos, g_neg]), n)
     ct_pos, ct_neg = ct[:n], ct[n:]
     cp_pos, cp_neg = (None, None) if cp is None else (cp[:n], cp[n:])
-    if config.balance_positives and config.optimizer not in PAIRWISE:
-        ct_pos = ct_pos * config.rho
-        if cp_pos is not None:
-            cp_pos = cp_pos * config.rho
     touched_u = sorted_unique(np.concatenate([batch.pos_u, neg_u]))
     touched_i = sorted_unique(np.concatenate([batch.pos_i, batch.neg_j]))
     dU_pos = ct_pos[:, None] * V[batch.pos_i]
@@ -504,10 +480,9 @@ def test_steps_bit_identical_to_reference():
     rng = np.random.default_rng(12)
     M, N, K = 5, 6, 4  # few rows, so users and items repeat within and across the groups
     seen = {"repeat_within": 0, "repeat_across": 0}
-    cases = itertools.product(Optimizer, (False, True), (0.0, 0.3), (0, 3), (1, 3))
-    for optimizer, balance, lam, L, rho in cases:
-        cfg = config(optimizer=optimizer, eta=0.7, rho=rho, K=K, L=L, lambda_theta=lam,
-                     lambda_phi=lam, balance_positives=balance)
+    cases = itertools.product(Optimizer, (0.0, 0.3), (0, 3), (1, 3))
+    for optimizer, lam, L, rho in cases:
+        cfg = config(optimizer=optimizer, eta=0.7, rho=rho, K=K, L=L, lambda_theta=lam, lambda_phi=lam)
         theta, phi = random_params(rng, M, N, K, L, scale=1.0)
         ref_theta, ref_phi = theta.copy(), phi.copy()
         for step in range(4):
@@ -516,7 +491,7 @@ def test_steps_bit_identical_to_reference():
             batch = Batch(pos_u, rng.integers(0, N, n), rng.integers(0, N, n * rho))
             seen["repeat_within"] += len(np.unique(batch.neg_j)) < len(batch.neg_j)
             seen["repeat_across"] += bool(np.intersect1d(batch.pos_i, batch.neg_j).size)
-            case = (optimizer, balance, lam, L, rho, step)
+            case = (optimizer, lam, L, rho, step)
             if optimizer in PAIRWISE:
                 pair_theta = theta.copy()
                 pair_value = reference_pairwise_step(pair_theta, batch, cfg)
@@ -673,14 +648,6 @@ def test_config_validation():
             ExperimentSpec("out", **{name: value})
     TrainConfig(rho=np.int64(2), K=np.int32(3), seed=np.uint8(1), patience=np.int64(0))
     ExperimentSpec("out", kcore=np.int64(2), repeat_count=np.int32(1))
-    # boolean fields take bools only (the string "false" is truthy); numpy bools pass
-    for value, shown in [("false", "'false'"), (0, "0"), (1, "1"), (None, "None")]:
-        with pytest.raises(ValueError, match=rf"^balance_positives must be a bool, got {shown}$"):
-            TrainConfig(balance_positives=value)
-        with pytest.raises(ValueError, match=rf"^exclude_train must be a bool, got {shown}$"):
-            ExperimentSpec("out", exclude_train=value)
-    TrainConfig(balance_positives=np.bool_(True))
-    ExperimentSpec("out", exclude_train=np.bool_(False))
     with pytest.raises(ValueError, match=r"^init_scale must be positive, got -1.0"):
         TrainConfig(init_scale=-1.0)
     for name in ("eta", "init_scale", "lambda_theta", "lambda_phi"):
