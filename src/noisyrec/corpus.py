@@ -25,7 +25,7 @@ class ParseError(ValueError):
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
-    """np.unique of non-negative ints by sort-and-mask (~60x faster on numpy 2.4).
+    """The sorted distinct values of non-negative ints, by sort-and-mask (~60x faster than numpy's unique on 2.4).
 
     Strictly increasing input, such as the codes of a split file's rows, is
     returned as it is, unsorted and uncopied.
@@ -34,6 +34,13 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
         return values
     values = np.sort(values)
     return values[np.diff(values, prepend=-1) > 0]
+
+
+def dense_index(rows: np.ndarray, n: int):
+    """numpy's unique(rows, return_inverse=True) for rows in range(n), from n flags and no sort."""
+    seen = np.zeros(n, dtype=bool)
+    seen[rows] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[rows]
 
 
 def _int_objects(values: np.ndarray, n: int) -> list:
@@ -271,8 +278,8 @@ def kcore_filter(table: InteractionTable, k: int) -> InteractionTable:
         if keep.all():
             break
         pairs = pairs[keep]
-    keep_u, new_u = np.unique(pairs[:, 0], return_inverse=True)
-    keep_i, new_i = np.unique(pairs[:, 1], return_inverse=True)
+    keep_u, new_u = dense_index(pairs[:, 0], table.M)
+    keep_i, new_i = dense_index(pairs[:, 1], table.N)
     return InteractionTable(len(keep_u), len(keep_i), np.column_stack((new_u, new_i)))
 
 

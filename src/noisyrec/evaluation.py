@@ -70,6 +70,8 @@ def evaluate(
     Train positives are never ranking candidates.
     Users are ranked in row blocks; each user's metrics equal f1_at_k/ndcg_at_k, summed in user order.
     """
+    if min(ks) < 1:  # k = 0 divides by zero in precision, and a negative k sizes no array
+        raise ValueError(f"cutoff k must be >= 1, got {min(ks)}")
     kmax, cols = max(ks), np.array(ks) - 1
     disc = np.array([1.0 / np.log2(p + 1) for p in range(1, kmax + 1)])
     idcg = np.cumsum(disc)  # idcg[n - 1]: ideal DCG with n relevant items

@@ -113,7 +113,7 @@ def run(spec: ExperimentSpec, dataset: Optional[corpus.SplitDataset] = None) -> 
         "dataset": spec.dataset,
         "kcore": spec.kcore,
         "split_seed": spec.split_seed,
-        "repeat_count": spec.repeat_count,
+        "repeat_count": 1 if spec.method in BASELINE_METHODS else spec.repeat_count,  # a baseline is deterministic
         "schema_version": 1,
     }
     if spec.method in BASELINE_METHODS:

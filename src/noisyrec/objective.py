@@ -143,13 +143,13 @@ def surrogate_coefficients(term: SampleTerm):
     return -sigmoid(r) + sigmoid(g) * sigmoid(-r), sigmoid(-g) * sigmoid(r)
 
 
+def surrogate_coefficients_from(sr, smr, sg, smg, positive):
+    """surrogate_coefficients over aligned arrays sigma(r), sigma(-r), sigma(g), sigma(-g); `positive` marks label 1."""
+    return np.where(positive, smg * smr, -sr + sg * smr), np.where(positive, -sg * sr, smg * sr)
+
+
 def surrogate_coefficients_vec(labels, scores, noise_logits):
     """Vectorized surrogate_coefficients over aligned arrays."""
     r = np.asarray(scores, dtype=float)
     g = np.asarray(noise_logits, dtype=float)
-    labels = np.asarray(labels)
-    sr, smr = sigmoid(r), sigmoid(-r)
-    sg, smg = sigmoid(g), sigmoid(-g)
-    c_theta = np.where(labels == 1, smg * smr, -sr + sg * smr)
-    c_phi = np.where(labels == 1, -sg * sr, smg * sr)
-    return c_theta, c_phi
+    return surrogate_coefficients_from(sigmoid(r), sigmoid(-r), sigmoid(g), sigmoid(-g), np.asarray(labels) == 1)

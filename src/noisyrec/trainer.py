@@ -11,12 +11,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from noisyrec.corpus import InteractionTable, SplitDataset
+from noisyrec.corpus import InteractionTable, SplitDataset, dense_index
 from noisyrec.model import InitSpec, NoiseParams, PreferenceParams, init_params
 from noisyrec.objective import (
     RegSpec,
     log_sigmoid,
     sigmoid,
+    surrogate_coefficients_from,
     surrogate_coefficients_vec,  # noqa: F401 - unused here, but the benchmark's tracer wraps it by this name
 )
 
@@ -200,10 +201,8 @@ def _point_terms(optimizer: Optimizer, r, g, n: int):
         sr, smr, sg, smg = sigmoid(r), sigmoid(-r), sigmoid(g), sigmoid(-g)
         # surrogate likelihood: raw probabilities summed, not their logs
         value = float(np.sum(smg[pos] * sr[pos]) + np.sum(smr[neg] + sg[neg] * sr[neg]))
-        if optimizer == Optimizer.NBPO_SS:  # objective.surrogate_coefficients_vec, the positives first
-            c_theta = np.concatenate([smg[pos] * smr[pos], -sr[neg] + sg[neg] * smr[neg]])
-            c_phi = np.concatenate([-sg[pos] * sr[pos], smg[neg] * sr[neg]])
-            return value, c_theta, c_phi
+        if optimizer == Optimizer.NBPO_SS:
+            return (value, *surrogate_coefficients_from(sr, smr, sg, smg, np.arange(len(r)) < n))
         c_theta = np.concatenate([smg[pos] * sr[pos] * smr[pos], -sr[neg] * smr[neg] * smg[neg]])
         c_phi = sg * smg * sr
         c_phi[pos] *= -1
@@ -211,17 +210,10 @@ def _point_terms(optimizer: Optimizer, r, g, n: int):
     raise ValueError(f"{optimizer} is not an optimizer")
 
 
-def _slots(rows, n):
-    """(touched, slot): the sorted unique rows out of range(n), and each row's index into them."""
-    seen = np.zeros(n, dtype=bool)
-    seen[rows] = True
-    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[rows]
-
-
 def _apply_sparse(mat, slot, grad, eta, lam, touched):
     """mat[touched[slot]] += eta * grad (scattered); touched rows decay by eta * lam.
 
-    `touched` and `slot` come from _slots; rows outside `touched` stay
+    `touched` and `slot` come from corpus.dense_index; rows outside `touched` stay
     bit-identical. Each entry sums 0 + c1 + c2 + ... in the order of `slot`
     (np.bincount adds in input order); one bincount per column needs no
     (rows x K) index array.
@@ -238,8 +230,8 @@ def _apply_sparse(mat, slot, grad, eta, lam, touched):
     mat[touched] += acc
 
 
-def _gather(*parts):
-    """The pre-step rows mat[rows] of each (mat, rows) part, stacked in one block.
+def _gather(A, B, users, items):
+    """The pre-step rows A[users] and then B[items], stacked in one block.
 
     glibc trims its heap top once the free space there exceeds twice the
     largest block freed so far; one block keeps the step's temporaries under
@@ -247,11 +239,9 @@ def _gather(*parts):
     rows are in range (train table, sampler), so mode="wrap" skips the
     bounds check that makes take copy through a buffer.
     """
-    block = np.empty((sum(len(rows) for _, rows in parts), parts[0][0].shape[1]))
-    start = 0
-    for mat, rows in parts:
-        np.take(mat, rows, axis=0, out=block[start : start + len(rows)], mode="wrap")
-        start += len(rows)
+    block = np.empty((len(users) + len(items), A.shape[1]))
+    np.take(A, users, axis=0, out=block[: len(users)], mode="wrap")
+    np.take(B, items, axis=0, out=block[len(users) :], mode="wrap")
     return block
 
 
@@ -261,37 +251,28 @@ def point_step(theta: PreferenceParams, phi: Optional[NoiseParams], batch: Batch
     Returns the unregularized objective of the batch at the pre-step parameters.
     """
     n, rho = len(batch.pos_u), batch.rho
-    has_phi = phi is not None and phi.L > 0
     # rows of the positive group, then of the negative group: this is the
     # scatter's summation order
     users = np.concatenate([batch.pos_u, np.repeat(batch.pos_u, rho)])
     items = np.concatenate([batch.pos_i, batch.neg_j])
-    block = _gather((theta.U, users), (theta.V, items))
-    Ub, Vb = block[: len(users)], block[len(users) :]
-    r = np.einsum("ij,ij->i", Ub, Vb)
-    if has_phi:
-        phi_block = _gather((phi.P, users), (phi.Q, items))
-        Pb, Qb = phi_block[: len(users)], phi_block[len(users) :]
-        g = np.einsum("ij,ij->i", Pb, Qb)
-    else:
-        g = np.zeros_like(r)
+    m = len(users)
+    sides = [(theta.U, theta.V, config.lambda_theta)]
+    if phi is not None and phi.L > 0:  # else every flip logit is 0, and phi has nothing to update
+        sides.append((phi.P, phi.Q, config.lambda_phi))
+    blocks = [_gather(A, B, users, items) for A, B, _ in sides]
+    r, g = ([np.einsum("ij,ij->i", block[:m], block[m:]) for block in blocks] + [np.zeros(m)])[:2]
+    value, *coefficients = _point_terms(config.optimizer, r, g, n)
 
-    value, ct, cp = _point_terms(config.optimizer, r, g, n)
-
-    # theta and phi share the rows, so they share the slots
-    touched_u, slot_u = _slots(users, theta.U.shape[0])
-    touched_i, slot_i = _slots(items, theta.V.shape[0])
-
-    # the gathered rows become the gradients in place: dU = c * V, dV = c * U
-    Vb *= ct[:, None]
-    Ub *= ct[:, None]
-    _apply_sparse(theta.U, slot_u, Vb, config.eta, config.lambda_theta, touched_u)
-    _apply_sparse(theta.V, slot_i, Ub, config.eta, config.lambda_theta, touched_i)
-    if has_phi and cp is not None:
-        Qb *= cp[:, None]
-        Pb *= cp[:, None]
-        _apply_sparse(phi.P, slot_u, Qb, config.eta, config.lambda_phi, touched_u)
-        _apply_sparse(phi.Q, slot_i, Pb, config.eta, config.lambda_phi, touched_i)
+    touched_u, slot_u = dense_index(users, theta.U.shape[0])
+    touched_i, slot_i = dense_index(items, theta.V.shape[0])
+    for (A, B, lam), block, c in zip(sides, blocks, coefficients):
+        if c is None:  # BPO, BPR and WBPR have no phi term
+            continue
+        # the gathered rows become the gradients in place: dA = c * B rows, dB = c * A rows
+        block[:m] *= c[:, None]
+        block[m:] *= c[:, None]
+        _apply_sparse(A, slot_u, block[m:], config.eta, lam, touched_u)
+        _apply_sparse(B, slot_i, block[:m], config.eta, lam, touched_i)
     return value
 
 

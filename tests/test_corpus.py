@@ -14,6 +14,7 @@ from noisyrec.corpus import (
     ParseError,
     SplitDataset,
     binarize_and_index,
+    dense_index,
     kcore_filter,
     load_amazon_reviews,
     load_movielens,
@@ -463,6 +464,20 @@ def test_sorted_unique_matches_np_unique():
             for case in (values, np.sort(values), np.unique(values)):
                 got = sorted_unique(case)
                 assert got.dtype == values.dtype and np.array_equal(got, np.unique(values))
+
+
+def test_dense_index_matches_np_unique_inverse():
+    # the step's slot table and kcore_filter's reindex: empty rows, n = 0, repeats, rows up to n - 1
+    rng = np.random.default_rng(30)
+    cases = [(np.array([], dtype=np.int64), 0), (np.array([], dtype=np.int64), 5), (np.array([3, 3, 3]), 4),
+             (np.array([0, 4, 0, 4]), 5)]
+    cases += [(rng.integers(0, n, size), n) for n in (1, 2, 7, 300) for size in (1, 5, 40, 1000)]
+    for rows, n in cases:
+        distinct, index = dense_index(rows, n)
+        want_distinct, want_index = np.unique(rows, return_inverse=True)
+        assert np.array_equal(distinct, want_distinct) and np.array_equal(index, want_index), (rows, n)
+        assert index.shape == rows.shape and np.array_equal(distinct[index], rows)
+        assert distinct.dtype == want_distinct.dtype and index.dtype == want_index.dtype
 
 
 def test_table_rejects_out_of_range_pair():

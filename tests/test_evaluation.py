@@ -169,6 +169,15 @@ def test_evaluate_no_eligible_users():
     assert report.f1[2] == 0.0
 
 
+@pytest.mark.parametrize("ks", [(0, 2), (-1,), (2, 5, -3)])
+def test_evaluate_rejects_cutoff_below_one(ks):
+    # k = 0 gave f1@0 = nan and ndcg@0 = 0.333; a negative k failed inside numpy
+    table = InteractionTable(2, 3, [(0, 0), (1, 2)])
+    bad = min(ks)
+    with pytest.raises(ValueError, match=rf"cutoff k must be >= 1, got {bad}$"):
+        evaluate(lambda u: np.zeros(3), table, InteractionTable(2, 3, []), ks=ks)
+
+
 def test_topk_kernel_never_returns_excluded_items():
     scores = np.array([[np.nan, 1.0, -np.inf, 2.0]])
     excluded = np.array([[False, True, False, True]])

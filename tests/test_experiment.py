@@ -171,10 +171,13 @@ def test_run_baseline_methods(tmp_path):
             dataset="split",
             split_dir=split_dir,
             method=method,
-            repeat_count=1,
         )
         summary = run(spec)
         assert "mean_test" in summary
+        # a baseline is evaluated once, whatever the spec's repeat_count (10 by default)
+        assert spec.repeat_count == 10 and summary["repeat_count"] == len(summary["repeats"]) == 1
+        with open(tmp_path / method / "summary.json") as f:
+            assert json.load(f)["repeat_count"] == 1
 
 
 def fixed_history(dataset, objectives, f1_at_2=0.5):

@@ -20,6 +20,7 @@ from noisyrec.objective import (
     surrogate_coefficients_vec,
 )
 from noisyrec.trainer import (
+    NOISE_AWARE,
     PAIRWISE,
     Batch,
     Optimizer,
@@ -492,10 +493,12 @@ def test_steps_bit_identical_to_reference():
             seen["repeat_within"] += len(np.unique(batch.neg_j)) < len(batch.neg_j)
             seen["repeat_across"] += bool(np.intersect1d(batch.pos_i, batch.neg_j).size)
             case = (optimizer, lam, L, rho, step)
+            phi_before = phi.copy()
             if optimizer in PAIRWISE:
                 pair_theta = theta.copy()
                 pair_value = reference_pairwise_step(pair_theta, batch, cfg)
-                value = pairwise_step(theta, batch, cfg)
+                # with L > 0, through point_step with a phi, which BPR/WBPR must leave as it was
+                value = point_step(theta, phi, batch, cfg) if L else pairwise_step(theta, batch, cfg)
                 assert value == pair_value, case
                 for got, want in ((theta.U, pair_theta.U), (theta.V, pair_theta.V)):
                     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), case
@@ -505,6 +508,8 @@ def test_steps_bit_identical_to_reference():
             assert value == expected, case
             for got, want in ((theta.U, ref_theta.U), (theta.V, ref_theta.V), (phi.P, ref_phi.P), (phi.Q, ref_phi.Q)):
                 assert np.array_equal(got, want), case
+            if optimizer not in NOISE_AWARE:
+                assert np.array_equal(phi.P, phi_before.P) and np.array_equal(phi.Q, phi_before.Q), case
     assert min(seen.values()) >= 50, seen
 
 
