@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, Sequence
 
@@ -70,8 +71,16 @@ def evaluate(
     Train positives are never ranking candidates.
     Users are ranked in row blocks; each user's metrics equal f1_at_k/ndcg_at_k, summed in user order.
     """
-    if min(ks) < 1:  # k = 0 divides by zero in precision, and a negative k sizes no array
-        raise ValueError(f"cutoff k must be >= 1, got {min(ks)}")
+    ks = tuple(ks)
+    if not ks:
+        raise ValueError("ks names no cutoff k, got ()")
+    for k in ks:
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise ValueError(f"cutoff k must be an int, got {k!r}")
+        if k < 1:  # k = 0 divides by zero in precision, and a negative k sizes no array
+            raise ValueError(f"cutoff k must be >= 1, got {k}")
+        if ks.count(k) > 1:  # the report is keyed by k: a repeat would fold into one key
+            raise ValueError(f"cutoff k = {k} is repeated in {ks}")
     kmax, cols = max(ks), np.array(ks) - 1
     disc = np.array([1.0 / np.log2(p + 1) for p in range(1, kmax + 1)])
     idcg = np.cumsum(disc)  # idcg[n - 1]: ideal DCG with n relevant items

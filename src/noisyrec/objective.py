@@ -68,12 +68,8 @@ class RegSpec:
             raise ValueError("regularizers must be nonnegative")
 
 
-def _theta_penalty(theta, reg) -> float:
-    return 0.5 * reg.lambda_theta * theta.sq_norm() if theta is not None else 0.0
-
-
-def _phi_penalty(phi, reg) -> float:
-    return 0.5 * reg.lambda_phi * phi.sq_norm() if phi is not None else 0.0
+def _penalty(params, lam) -> float:
+    return 0.5 * lam * params.sq_norm() if params is not None else 0.0
 
 
 def bpo_loglik(terms, theta=None, reg=RegSpec()) -> float:
@@ -81,7 +77,7 @@ def bpo_loglik(terms, theta=None, reg=RegSpec()) -> float:
     total = 0.0
     for t in terms:
         total += log_sigmoid(t.score if t.label == 1 else -t.score)
-    return total - _theta_penalty(theta, reg)
+    return total - _penalty(theta, reg.lambda_theta)
 
 
 def nbpo_observed_prob(term: SampleTerm) -> float:
@@ -104,7 +100,7 @@ def nbpo_loglik(terms, theta=None, phi=None, reg=RegSpec()) -> float:
             total += log_sigmoid(-t.noise_logit) + log_sigmoid(t.score)
         else:
             total += float(np.log(nbpo_observed_prob(t)))
-    return total - _phi_penalty(phi, reg) - _theta_penalty(theta, reg)
+    return total - _penalty(phi, reg.lambda_phi) - _penalty(theta, reg.lambda_theta)
 
 
 def nbpo_lower_bound(terms, theta=None, phi=None, reg=RegSpec()) -> float:
@@ -120,7 +116,7 @@ def nbpo_lower_bound(terms, theta=None, phi=None, reg=RegSpec()) -> float:
             total += log_sigmoid(-g) + log_sigmoid(r)
         else:
             total += log_sigmoid(-r) + log_sigmoid(g) + log_sigmoid(r)
-    return total - _phi_penalty(phi, reg) - _theta_penalty(theta, reg)
+    return total - _penalty(phi, reg.lambda_phi) - _penalty(theta, reg.lambda_theta)
 
 
 def nbpo_surrogate(terms, theta=None, phi=None, reg=RegSpec()) -> float:
@@ -128,7 +124,7 @@ def nbpo_surrogate(terms, theta=None, phi=None, reg=RegSpec()) -> float:
     total = 0.0
     for t in terms:
         total += nbpo_observed_prob(t)
-    return total - _phi_penalty(phi, reg) - _theta_penalty(theta, reg)
+    return total - _penalty(phi, reg.lambda_phi) - _penalty(theta, reg.lambda_theta)
 
 
 def surrogate_coefficients(term: SampleTerm):
@@ -149,7 +145,9 @@ def surrogate_coefficients_from(sr, smr, sg, smg, positive):
 
 
 def surrogate_coefficients_vec(labels, scores, noise_logits):
-    """Vectorized surrogate_coefficients over aligned arrays."""
-    r = np.asarray(scores, dtype=float)
-    g = np.asarray(noise_logits, dtype=float)
-    return surrogate_coefficients_from(sigmoid(r), sigmoid(-r), sigmoid(g), sigmoid(-g), np.asarray(labels) == 1)
+    """Vectorized surrogate_coefficients over aligned arrays; a label outside {0, 1} raises ValueError."""
+    labels, r, g = np.asarray(labels), np.asarray(scores, dtype=float), np.asarray(noise_logits, dtype=float)
+    bad = ~np.isin(labels, (0, 1))
+    if bad.any():  # as SampleTerm: a 2 or a -1 is no negative
+        raise ValueError(f"label must be 0 or 1, got {labels[bad][0]}")
+    return surrogate_coefficients_from(sigmoid(r), sigmoid(-r), sigmoid(g), sigmoid(-g), labels == 1)

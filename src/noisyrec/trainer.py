@@ -210,17 +210,22 @@ def _point_terms(optimizer: Optimizer, r, g, n: int):
     raise ValueError(f"{optimizer} is not an optimizer")
 
 
-def _apply_sparse(mat, slot, grad, eta, lam, touched):
-    """mat[touched[slot]] += eta * grad (scattered); touched rows decay by eta * lam.
+SCORE_CHUNK = 1024  # rows gathered at a time to score: no step holds a (rows x K) block of the batch
 
-    `touched` and `slot` come from corpus.dense_index; rows outside `touched` stay
-    bit-identical. Each entry sums 0 + c1 + c2 + ... in the order of `slot`
-    (np.bincount adds in input order); one bincount per column needs no
-    (rows x K) index array.
+
+def _column_sums(B, rows, c, slot, size):
+    """(size x K) sums of c[t] * B[rows[t]] by slot[t], each added 0 + c1 + c2 + ... in the order of t.
+
+    Each column is one 1-D take from a transposed copy of B: one column of the batch is held at a time.
     """
-    acc = np.empty((len(touched), mat.shape[1]))
-    for k in range(mat.shape[1]):
-        acc[:, k] = np.bincount(slot, weights=grad[:, k], minlength=len(touched))
+    acc = np.empty((size, B.shape[1]))
+    for k, column in enumerate(B.T.copy()):
+        acc[:, k] = np.bincount(slot, weights=column.take(rows) * c, minlength=size)
+    return acc
+
+
+def _apply_sparse(mat, acc, eta, lam, touched):
+    """mat[touched] += eta * (acc - lam * mat[touched]); rows outside `touched` stay bit-identical."""
     if lam > 0:
         old = mat[touched]
         old *= lam
@@ -230,49 +235,35 @@ def _apply_sparse(mat, slot, grad, eta, lam, touched):
     mat[touched] += acc
 
 
-def _gather(A, B, users, items):
-    """The pre-step rows A[users] and then B[items], stacked in one block.
-
-    glibc trims its heap top once the free space there exceeds twice the
-    largest block freed so far; one block keeps the step's temporaries under
-    that, where smaller ones let them page-fault back in every step. The
-    rows are in range (train table, sampler), so mode="wrap" skips the
-    bounds check that makes take copy through a buffer.
-    """
-    block = np.empty((len(users) + len(items), A.shape[1]))
-    np.take(A, users, axis=0, out=block[: len(users)], mode="wrap")
-    np.take(B, items, axis=0, out=block[len(users) :], mode="wrap")
-    return block
-
-
 def point_step(theta: PreferenceParams, phi: Optional[NoiseParams], batch: Batch, config: TrainConfig) -> float:
     """One SGD ascent step for any optimizer; mutates theta (and phi) in place.
 
     Returns the unregularized objective of the batch at the pre-step parameters.
     """
     n, rho = len(batch.pos_u), batch.rho
-    # rows of the positive group, then of the negative group: this is the
-    # scatter's summation order
+    # the positive group's rows, then the negative group's: the scatter's summation order
     users = np.concatenate([batch.pos_u, np.repeat(batch.pos_u, rho)])
     items = np.concatenate([batch.pos_i, batch.neg_j])
-    m = len(users)
     sides = [(theta.U, theta.V, config.lambda_theta)]
     if phi is not None and phi.L > 0:  # else every flip logit is 0, and phi has nothing to update
         sides.append((phi.P, phi.Q, config.lambda_phi))
-    blocks = [_gather(A, B, users, items) for A, B, _ in sides]
-    r, g = ([np.einsum("ij,ij->i", block[:m], block[m:]) for block in blocks] + [np.zeros(m)])[:2]
+    r, g = np.zeros((2, len(users)))  # the scores, and the flip logits of the phi side if any
+    for out, (A, B, _) in zip((r, g), sides):
+        for lo in range(0, len(users), SCORE_CHUNK):
+            part = slice(lo, lo + SCORE_CHUNK)
+            np.einsum("ij,ij->i", A[users[part]], B[items[part]], out=out[part])
     value, *coefficients = _point_terms(config.optimizer, r, g, n)
 
     touched_u, slot_u = dense_index(users, theta.U.shape[0])
     touched_i, slot_i = dense_index(items, theta.V.shape[0])
-    for (A, B, lam), block, c in zip(sides, blocks, coefficients):
+    for (A, B, lam), c in zip(sides, coefficients):
         if c is None:  # BPO, BPR and WBPR have no phi term
             continue
-        # the gathered rows become the gradients in place: dA = c * B rows, dB = c * A rows
-        block[:m] *= c[:, None]
-        block[m:] *= c[:, None]
-        _apply_sparse(A, slot_u, block[m:], config.eta, lam, touched_u)
-        _apply_sparse(B, slot_i, block[:m], config.eta, lam, touched_i)
+        # both sums from the pre-step rows, before either matrix moves: dA = c * B rows, dB = c * A rows
+        acc_A = _column_sums(B, items, c, slot_u, len(touched_u))
+        acc_B = _column_sums(A, users, c, slot_i, len(touched_i))
+        _apply_sparse(A, acc_A, config.eta, lam, touched_u)
+        _apply_sparse(B, acc_B, config.eta, lam, touched_i)
     return value
 
 

@@ -178,6 +178,21 @@ def test_evaluate_rejects_cutoff_below_one(ks):
         evaluate(lambda u: np.zeros(3), table, InteractionTable(2, 3, []), ks=ks)
 
 
+@pytest.mark.parametrize("ks, message", [
+    ((), r"ks names no cutoff k, got \(\)$"),
+    ((2.5,), r"cutoff k must be an int, got 2\.5$"),
+    ((True,), r"cutoff k must be an int, got True$"),
+    ((5, np.float64(2.0)), r"cutoff k must be an int, got (np\.float64\()?2\.0\)?$"),
+    ((2, 2), r"cutoff k = 2 is repeated in \(2, 2\)$"),
+    ((2, 5, np.int64(5)), r"cutoff k = 5 is repeated"),
+], ids=["empty", "float", "bool", "numpy-float", "repeat", "numpy-int-repeat"])
+def test_evaluate_rejects_malformed_cutoffs(ks, message):
+    # an empty ks failed inside min(), 2.5 and True inside numpy, and (2, 2) gave a one-key report
+    table = InteractionTable(2, 3, [(0, 0), (1, 2)])
+    with pytest.raises(ValueError, match=message):
+        evaluate(lambda u: np.zeros(3), table, InteractionTable(2, 3, []), ks=ks)
+
+
 def test_topk_kernel_never_returns_excluded_items():
     scores = np.array([[np.nan, 1.0, -np.inf, 2.0]])
     excluded = np.array([[False, True, False, True]])

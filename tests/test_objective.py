@@ -194,3 +194,11 @@ def test_regspec_rejects_negative():
 def test_sample_term_label_validation():
     with pytest.raises(ValueError):
         SampleTerm(0, 0, 2, 0.0)
+
+
+@pytest.mark.parametrize("labels", [[2, -1, 0], [0, 1, 0.5], [1, 0, np.nan]])
+def test_vectorized_coefficients_reject_labels_outside_0_1(labels):
+    # 2 and -1 were taken as negatives with no error, unlike SampleTerm
+    with pytest.raises(ValueError, match=r"label must be 0 or 1, got (2|0\.5|nan)$"):
+        surrogate_coefficients_vec(labels, [0.1, 0.2, 0.3], [0.0, 0.0, 0.0])
+

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from noisyrec.objective import (
 from noisyrec.trainer import (
     NOISE_AWARE,
     PAIRWISE,
+    SCORE_CHUNK,
     Batch,
     Optimizer,
     TrainConfig,
@@ -481,13 +483,15 @@ def test_steps_bit_identical_to_reference():
     rng = np.random.default_rng(12)
     M, N, K = 5, 6, 4  # few rows, so users and items repeat within and across the groups
     seen = {"repeat_within": 0, "repeat_across": 0}
-    cases = itertools.product(Optimizer, (0.0, 0.3), (0, 3), (1, 3))
-    for optimizer, lam, L, rho in cases:
+    cases = [(*case, (1, 9)) for case in itertools.product(Optimizer, (0.0, 0.3), (0, 3), (1, 3))]
+    # and batches of (1 + rho) * n >= 2 * SCORE_CHUNK rows, whose scores are gathered in several chunks
+    cases += [(optimizer, 0.3, 3, 3, (SCORE_CHUNK // 2, SCORE_CHUNK)) for optimizer in Optimizer]
+    for optimizer, lam, L, rho, n_range in cases:
         cfg = config(optimizer=optimizer, eta=0.7, rho=rho, K=K, L=L, lambda_theta=lam, lambda_phi=lam)
         theta, phi = random_params(rng, M, N, K, L, scale=1.0)
         ref_theta, ref_phi = theta.copy(), phi.copy()
         for step in range(4):
-            n = int(rng.integers(1, 9))
+            n = int(rng.integers(*n_range))
             pos_u = rng.integers(0, M, n)
             batch = Batch(pos_u, rng.integers(0, N, n), rng.integers(0, N, n * rho))
             seen["repeat_within"] += len(np.unique(batch.neg_j)) < len(batch.neg_j)
@@ -511,6 +515,24 @@ def test_steps_bit_identical_to_reference():
             if optimizer not in NOISE_AWARE:
                 assert np.array_equal(phi.P, phi_before.P) and np.array_equal(phi.Q, phi_before.Q), case
     assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize("optimizer, L, N", [(Optimizer.NBPO_SS, 10, 1853), (Optimizer.WBPR, 0, 3272)])
+def test_point_step_holds_no_batch_sized_block(optimizer, L, N):
+    # one step at the benchmark's shape: 2000 positives, rho 3, K 50, 3020 users and the ML or the
+    # Amazon-like item count. Gathering all 8000 rows of a side into one block peaked at 9.2 / 8.9 MiB
+    M, K, n, rho = 3020, 50, 2000, 3
+    rng = np.random.default_rng(5)
+    theta, phi = random_params(rng, M, N, K, L, scale=0.1)
+    batch = Batch(rng.integers(0, M, n), rng.integers(0, N, n), rng.integers(0, N, n * rho))
+    cfg = config(optimizer=optimizer, eta=0.05, rho=rho, K=K, L=L, lambda_theta=0.01, lambda_phi=0.01)
+    tracemalloc.start()
+    try:
+        point_step(theta, phi, batch, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 # --------------------------------------------------------------------------
