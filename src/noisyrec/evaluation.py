@@ -69,7 +69,7 @@ def evaluate(
 
     Users with no held-out positives are skipped entirely (not counted as zero).
     Train positives are never ranking candidates.
-    Users are ranked in row blocks; each user's metrics equal f1_at_k/ndcg_at_k, summed in user order.
+    Users are ranked in row blocks, then scored in one pass, each as f1_at_k/ndcg_at_k, summed in user order.
     """
     ks = tuple(ks)
     if not ks:
@@ -85,22 +85,20 @@ def evaluate(
     disc = np.array([1.0 / np.log2(p + 1) for p in range(1, kmax + 1)])
     idcg = np.cumsum(disc)  # idcg[n - 1]: ideal DCG with n relevant items
     rows = max(1, _BLOCK_CELLS // max(heldout.N, 1))
-    f1_sum, ndcg_sum, n_users = np.zeros(len(ks)), np.zeros(len(ks)), 0
+    hits = [np.zeros((0, kmax), dtype=bool)]  # a table with no users runs no block
     for lo in range(0, heldout.M, rows):
         hi = min(lo + rows, heldout.M)
-        n_rel = np.diff(heldout.indptr[lo : hi + 1])
-        users = np.flatnonzero(n_rel)
-        n_rel = n_rel[users, None]
+        users = np.flatnonzero(np.diff(heldout.indptr[lo : hi + 1]))
         scores = np.array([scorer(lo + u) for u in users.tolist()], dtype=float).reshape(len(users), heldout.N)
         top = topk_from_scores(scores, kmax, train.dense_rows(lo, hi)[users])
-        hit = heldout.contains((lo + users)[:, None], top)  # the -1 that pads a short row is no item
-        n_hits = np.cumsum(hit, axis=1)[:, cols]
-        precision, recall = n_hits / (cols + 1), n_hits / n_rel
-        f1 = np.divide(2 * precision * recall, precision + recall, out=np.zeros(n_hits.shape), where=n_hits > 0)
-        ndcg = np.cumsum(np.where(hit, disc, 0.0), axis=1)[:, cols] / idcg[np.minimum(cols, n_rel - 1)]
-        # cumsum adds the users one by one in user order, as a running += would
-        f1_sum = np.cumsum(np.vstack([f1_sum, f1]), axis=0)[-1]
-        ndcg_sum = np.cumsum(np.vstack([ndcg_sum, ndcg]), axis=0)[-1]
-        n_users += len(users)
-    n = max(n_users, 1)  # no users: every metric is 0.0
-    return MetricReport(dict(zip(ks, (f1_sum / n).tolist())), dict(zip(ks, (ndcg_sum / n).tolist())), n_users)
+        hits.append(heldout.contains((lo + users)[:, None], top))  # the -1 that pads a short row is no item
+    hit, n_rel = np.concatenate(hits), heldout.user_degrees()
+    n_rel = n_rel[n_rel > 0, None]
+    n_hits = np.cumsum(hit, axis=1)[:, cols]
+    precision, recall = n_hits / (cols + 1), n_hits / n_rel
+    f1 = np.divide(2 * precision * recall, precision + recall, out=np.zeros(n_hits.shape), where=n_hits > 0)
+    ndcg = np.cumsum(np.where(hit, disc, 0.0), axis=1)[:, cols] / idcg[np.minimum(cols, n_rel - 1)]
+    # summed side by side: over a C-contiguous block at least two columns wide, sum(axis=0) adds the
+    # users one by one in user order, as a running += would (a lone column is summed pairwise)
+    means = np.hstack([f1, ndcg]).sum(axis=0) / max(len(hit), 1)  # no users: every metric is 0.0
+    return MetricReport(dict(zip(ks, means[: len(ks)].tolist())), dict(zip(ks, means[len(ks) :].tolist())), len(hit))

@@ -11,6 +11,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from noisyrec import evaluation
 from noisyrec.corpus import InteractionTable, SplitDataset, dense_index
 from noisyrec.model import InitSpec, NoiseParams, PreferenceParams, init_params
 from noisyrec.objective import (
@@ -107,7 +108,7 @@ class Batch:
 class EpochRecord:
     epoch: int
     objective: float
-    report: "MetricReport"  # noqa: F821 - evaluation.MetricReport
+    report: evaluation.MetricReport
 
 
 @dataclass
@@ -327,8 +328,6 @@ def train(dataset: SplitDataset, config: TrainConfig) -> TrainHistory:
     stops training with a warning and sets ``diverged_at``; the snapshots of
     the epochs before it are kept.
     """
-    from noisyrec.evaluation import evaluate, mf_scorer  # at call time: the module attribute may be wrapped
-
     train_table = dataset.train
     if len(train_table) == 0:
         raise ValueError("empty train set")
@@ -362,7 +361,7 @@ def train(dataset: SplitDataset, config: TrainConfig) -> TrainHistory:
                 RuntimeWarning, stacklevel=2,
             )
             break
-        report = evaluate(mf_scorer(theta), dataset.validation, train_table)
+        report = evaluation.evaluate(evaluation.mf_scorer(theta), dataset.validation, train_table)
         history.epochs.append(EpochRecord(epoch=epoch, objective=objective, report=report))
         if report.f1[2] > best_f1:
             best_f1 = report.f1[2]

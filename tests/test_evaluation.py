@@ -169,6 +169,14 @@ def test_evaluate_no_eligible_users():
     assert report.f1[2] == 0.0
 
 
+@pytest.mark.parametrize("N", [0, 3])
+def test_evaluate_table_with_no_users(N):
+    # no row block runs, so the metrics are taken over an empty hit matrix
+    empty = InteractionTable(0, N, [])
+    report = evaluate(lambda u: np.zeros(N), empty, empty)
+    assert report == MetricReport({k: 0.0 for k in (2, 5, 10, 20)}, {k: 0.0 for k in (2, 5, 10, 20)}, 0)
+
+
 @pytest.mark.parametrize("ks", [(0, 2), (-1,), (2, 5, -3)])
 def test_evaluate_rejects_cutoff_below_one(ks):
     # k = 0 gave f1@0 = nan and ndcg@0 = 0.333; a negative k failed inside numpy
@@ -281,3 +289,13 @@ def test_blocked_evaluate_equals_reference_across_default_blocks():
     assert evaluation._BLOCK_CELLS // N < M
     train, heldout, scores = random_case(np.random.default_rng(7), M, N)
     assert evaluate(lambda u: scores[u], heldout, train) == evaluate_reference(lambda u: scores[u], heldout, train)
+
+
+def test_single_cutoff_sums_users_in_order():
+    # a lone column would be summed pairwise; with 200 users of varied metrics that differs from a running +=
+    M, N = 200, 30
+    rng = np.random.default_rng(11)
+    train, heldout, scores = random_case(rng, M, N)
+    for k in (1, 2, 7):
+        got = evaluate(lambda u: scores[u], heldout, train, (k,))
+        assert got == evaluate_reference(lambda u: scores[u], heldout, train, (k,)), k
