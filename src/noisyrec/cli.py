@@ -130,7 +130,7 @@ def cmd_train(args):
 def cmd_grid(args):
     spec = build_spec(args)
     stages = args.stage.split(",") if args.stage else None
-    best, table = experiment.grid_search(spec, experiment.GridSpec(), stages=stages)
+    best, table = experiment.grid_search(spec, stages=stages)
     print(json.dumps(dataclasses.asdict(best), indent=2, sort_keys=True))
     print(f"{len(table)} cells evaluated; results in {spec.output_dir}/grid_results.csv")
 
@@ -207,7 +207,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -88,7 +88,11 @@ def prepare(spec: ExperimentSpec) -> corpus.SplitDataset:
     tmp = tempfile.mkdtemp(prefix=f".{key}-", dir=cache_dir)
     try:
         corpus.save_split(dataset, tmp)
-        os.replace(tmp, cached)
+        try:
+            os.replace(tmp, cached)
+        except OSError:
+            if not os.path.isdir(cached):  # a directory there is a concurrent prepare's entry: the same split
+                raise
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return dataset
@@ -187,31 +191,21 @@ def read_summary(path) -> dict:
 # grid search
 
 
-@dataclass
-class GridSpec:
-    coarse_eta: Sequence[float] = (0.001, 0.01, 0.1)
-    coarse_lambda: Sequence[float] = (0.01, 0.1, 1.0)
-    rho_range: Sequence[int] = (1, 2, 3, 4, 5, 6, 7)
-    batch_range: Sequence[int] = (1000, 2000, 3000, 4000, 5000)
-    K_range: Sequence[int] = (10, 20, 50, 100, 200)
-    L_range: Sequence[int] = (0, 1, 2, 5, 10, 20, 50, 100, 200, 500)
-
-    def __post_init__(self):
-        sweeps = [("coarse_eta", "eta"), ("coarse_lambda", "lambda_theta")] + [s.sweep for s in STAGES if s.sweep]
-        for name, field_name in sweeps:
-            if not len(getattr(self, name)):
-                raise ValueError(f"{name} must be nonempty")
-            for value in getattr(self, name):  # checked by the TrainConfig field it sets
-                try:
-                    TrainConfig(**{field_name: value})
-                except ValueError as exc:
-                    raise ValueError(f"{name}: {exc}") from None
+# the paper's sweep values, by the TrainConfig field each sets
+GRID = {
+    "eta": (0.001, 0.01, 0.1),
+    "lambda_theta": (0.01, 0.1, 1.0),
+    "rho": (1, 2, 3, 4, 5, 6, 7),
+    "batch_size": (1000, 2000, 3000, 4000, 5000),
+    "K": (10, 20, 50, 100, 200),
+    "L": (0, 1, 2, 5, 10, 20, 50, 100, 200, 500),
+}
 
 
 class Stage(NamedTuple):
     name: str
     plot_file: str  # emit_plots writes the stage's rows of the results table here
-    sweep: Optional[Tuple[str, str]] = None  # (GridSpec range, TrainConfig field) of a one-field sweep
+    sweep: Optional[str] = None  # the TrainConfig field of a one-field sweep over its GRID values
     noise_aware_only: bool = False
 
 
@@ -220,10 +214,10 @@ STAGES = (
     Stage("coarse", "eta_lambda_coarse.csv"),
     Stage("fine", "eta_lambda_fine.csv"),
     Stage("lambda_split", "lambda_grid.csv", noise_aware_only=True),
-    Stage("rho", "rho_sweep.csv", ("rho_range", "rho")),
-    Stage("batch", "batch_sweep.csv", ("batch_range", "batch_size")),
-    Stage("K", "k_sweep.csv", ("K_range", "K")),
-    Stage("L", "l_sweep.csv", ("L_range", "L"), noise_aware_only=True),
+    Stage("rho", "rho_sweep.csv", "rho"),
+    Stage("batch", "batch_sweep.csv", "batch_size"),
+    Stage("K", "k_sweep.csv", "K"),
+    Stage("L", "l_sweep.csv", "L", noise_aware_only=True),
 )
 ALL_STAGES = tuple(stage.name for stage in STAGES)
 
@@ -233,16 +227,15 @@ def fine_values(v: float) -> List[float]:
     return sorted({v / 5, v / 2, v, 2 * v, 5 * v})
 
 
-def _stage_cells(stage: Stage, grid: GridSpec, best: TrainConfig, noise_aware: bool) -> List[dict]:
+def _stage_cells(stage: Stage, best: TrainConfig, noise_aware: bool) -> List[dict]:
     """The stage's cells, each a dict of the TrainConfig fields it sets on top of `best`."""
     if stage.sweep is not None:
-        grid_range, field_name = stage.sweep
-        return [{field_name: v} for v in getattr(grid, grid_range)]
+        return [{stage.sweep: v} for v in GRID[stage.sweep]]
     if stage.name == "lambda_split":
         return [{"lambda_theta": lt, "lambda_phi": lp}
                 for lt in fine_values(best.lambda_theta) for lp in fine_values(best.lambda_phi)]
     # coarse and fine: eta x lambda with the two regularizers tied
-    etas, lams = ((grid.coarse_eta, grid.coarse_lambda) if stage.name == "coarse"
+    etas, lams = ((GRID["eta"], GRID["lambda_theta"]) if stage.name == "coarse"
                   else (fine_values(best.eta), fine_values(best.lambda_theta)))
     return [{"eta": e, "lambda_theta": lam, "lambda_phi": lam if noise_aware else 0.0} for e in etas for lam in lams]
 
@@ -266,17 +259,16 @@ def _run_cells(dataset, configs) -> List[float]:
 
 def grid_search(
     spec: ExperimentSpec,
-    grid: GridSpec,
     stages: Optional[Sequence[str]] = None,
     dataset: Optional[corpus.SplitDataset] = None,
 ) -> Tuple[TrainConfig, List[dict]]:
     """Staged grid search selecting by validation F1@2.
 
-    Stages run in STAGES order: coarse and fine eta x lambda sweeps with the
-    two regularizers tied, then an independent lambda_theta x lambda_phi sweep
-    (noise-aware variants only), then rho, batch size, K, and L (noise-aware
-    only). Ties go to the earlier cell in enumeration order. An unknown stage
-    name raises ValueError before any cell trains.
+    Stages run in STAGES order: coarse (GRID's) and fine eta x lambda sweeps
+    with the two regularizers tied, then an independent lambda_theta x
+    lambda_phi sweep (noise-aware variants only), then GRID's rho, batch size,
+    K, and L (noise-aware only). Ties go to the earlier cell in enumeration
+    order. An unknown stage name raises ValueError before any cell trains.
     """
     if spec.method in BASELINE_METHODS:
         raise ValueError("grid search applies to trained optimizers only")
@@ -292,7 +284,7 @@ def grid_search(
     for stage in STAGES:
         if stage.name not in stages or (stage.noise_aware_only and not noise_aware):
             continue
-        cells = _stage_cells(stage, grid, best, noise_aware)
+        cells = _stage_cells(stage, best, noise_aware)
         # a cell's seed offset is its row in the results table
         configs = [replace(best, **cell, seed=spec.config.seed + len(table) + n) for n, cell in enumerate(cells)]
         scores = _run_cells(dataset, configs)

@@ -11,7 +11,7 @@ import pytest
 from noisyrec import cli, corpus, experiment
 from noisyrec.corpus import InteractionTable, save_split, split
 from noisyrec.evaluation import EVAL_KS, MetricReport, evaluate, mf_scorer
-from noisyrec.experiment import ExperimentSpec, GridSpec, desk_preset, fine_values, grid_search, prepare, run
+from noisyrec.experiment import ExperimentSpec, desk_preset, fine_values, grid_search, prepare, run
 from noisyrec.model import InitSpec, init_params, save_checkpoint
 from noisyrec.trainer import EpochRecord, Optimizer, TrainConfig, TrainHistory
 
@@ -61,6 +61,11 @@ def tiny_config(**kw):
                     K=3, L=2, max_epochs=2, seed=0)
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+def small_grid(monkeypatch, **values):
+    """Sweep the named TrainConfig fields over `values` in place of GRID's, for this test only."""
+    monkeypatch.setattr(experiment, "GRID", {**experiment.GRID, **values})
 
 
 def test_run_repeats_and_summary(tmp_path):
@@ -117,7 +122,7 @@ def test_run_rejects_divergence_in_first_epoch(tmp_path):
         run(spec)
 
 
-def test_spec_without_method_trains_config_optimizer(tmp_path):
+def test_spec_without_method_trains_config_optimizer(tmp_path, monkeypatch):
     split_dir = write_tiny_split(tmp_path)
 
     def spec(name, **kw):
@@ -129,7 +134,8 @@ def test_spec_without_method_trains_config_optimizer(tmp_path):
     run(spec("named", method="BPO"))
     csv = "epochs_seed0.csv"
     assert (tmp_path / "unnamed" / csv).read_bytes() == (tmp_path / "named" / csv).read_bytes()
-    best, _ = grid_search(spec("grid"), GridSpec(coarse_eta=(0.05,), coarse_lambda=(0.01,)), stages=("coarse",))
+    small_grid(monkeypatch, eta=(0.05,), lambda_theta=(0.01,))
+    best, _ = grid_search(spec("grid"), stages=("coarse",))
     assert best.optimizer == Optimizer.BPO
 
 
@@ -256,12 +262,13 @@ def test_prepare_names_the_missing_path(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
-def test_run_and_grid_with_a_dataset_need_no_path(tmp_path):
+def test_run_and_grid_with_a_dataset_need_no_path(tmp_path, monkeypatch):
     ds = corpus.load_split(write_tiny_split(tmp_path))
     spec = ExperimentSpec(str(tmp_path / "out"), dataset="split", method="BPO",
                           config=tiny_config(max_epochs=1), repeat_count=1)
     assert run(spec, dataset=ds)["method"] == "BPO"
-    best, _ = grid_search(spec, GridSpec(coarse_eta=(0.05,), coarse_lambda=(0.01,)), stages=("coarse",), dataset=ds)
+    small_grid(monkeypatch, eta=(0.05,), lambda_theta=(0.01,))
+    best, _ = grid_search(spec, stages=("coarse",), dataset=ds)
     assert best.optimizer is Optimizer.BPO
     assert sorted(os.listdir(tmp_path / "out")) == ["epochs_seed0.csv", "grid_best.json", "grid_results.csv",
                                                     "summary.json"]
@@ -334,6 +341,39 @@ def test_prepare_recovers_from_interrupted_write(tmp_path, monkeypatch):
     assert sorted(os.listdir(cache_root / cache_key)) == ["test.txt", "train.txt", "valid.txt"]
 
 
+def test_prepare_loses_a_cache_race_to_the_same_split(tmp_path, monkeypatch):
+    spec = ExperimentSpec(output_dir=str(tmp_path / "out"), dataset="movielens", raw_path=write_movielens_raw(tmp_path),
+                          kcore=2, split_seed=3, cache_dir=str(tmp_path / "cache"))
+    clean = experiment.prepare(replace(spec, cache_dir=str(tmp_path / "clean")))
+    build_split = experiment.build_split
+
+    def racing(*args):  # another prepare of the same file puts its entry in place while this one builds
+        dataset = build_split(*args)
+        save_split(dataset, tmp_path / "cache" / experiment._content_hash(spec))
+        return dataset
+
+    monkeypatch.setattr(experiment, "build_split", racing)
+    assert experiment.prepare(spec) == clean
+    (cache_key,) = os.listdir(tmp_path / "cache")  # the temporary entry is gone
+    assert experiment.prepare(spec) == clean  # read back from the winner's entry
+
+
+def test_prepare_failed_replace_raises_and_leaves_no_entry(tmp_path, monkeypatch):
+    spec = ExperimentSpec(output_dir=str(tmp_path / "out"), dataset="movielens", raw_path=write_movielens_raw(tmp_path),
+                          cache_dir=str(tmp_path / "cache"))
+    os_replace = os.replace
+
+    def fail(src, dst):  # only the rename of the whole entry fails
+        if os.path.isdir(src):
+            raise OSError("replace failed")
+        os_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        experiment.prepare(spec)
+    assert os.listdir(tmp_path / "cache") == []
+
+
 @pytest.mark.parametrize("kind, write_raw, kcore, split_seed", [
     ("movielens", write_movielens_raw, 2, 3),
     ("amazon", write_amazon_raw, 5, 4),
@@ -355,7 +395,7 @@ def test_fine_values_paper_example():
     assert fine_values(0.1) == [0.02, 0.05, 0.1, 0.2, 0.5]
 
 
-def test_grid_single_cell(tmp_path):
+def test_grid_single_cell(tmp_path, monkeypatch):
     spec = ExperimentSpec(
         output_dir=str(tmp_path / "out"),
         dataset="split",
@@ -364,13 +404,13 @@ def test_grid_single_cell(tmp_path):
         config=tiny_config(optimizer="BPO", max_epochs=1),
         repeat_count=1,
     )
-    grid = GridSpec(coarse_eta=(0.05,), coarse_lambda=(0.1,))
-    best, table = grid_search(spec, grid, stages=("coarse",))
+    small_grid(monkeypatch, eta=(0.05,), lambda_theta=(0.1,))
+    best, table = grid_search(spec, stages=("coarse",))
     assert best.eta == 0.05 and best.lambda_theta == 0.1
     assert len(table) == 1
 
 
-def test_grid_coarse_enumeration_and_tie_rule(tmp_path):
+def test_grid_coarse_enumeration_and_tie_rule(tmp_path, monkeypatch):
     spec = ExperimentSpec(
         output_dir=str(tmp_path / "out"),
         dataset="split",
@@ -379,8 +419,8 @@ def test_grid_coarse_enumeration_and_tie_rule(tmp_path):
         config=tiny_config(optimizer="BPO", max_epochs=1),
         repeat_count=1,
     )
-    grid = GridSpec(coarse_eta=(0.01, 0.02), coarse_lambda=(0.1, 0.2))
-    best, table = grid_search(spec, grid, stages=("coarse",))
+    small_grid(monkeypatch, eta=(0.01, 0.02), lambda_theta=(0.1, 0.2))
+    best, table = grid_search(spec, stages=("coarse",))
     assert len(table) == 4
     # winner is the first cell achieving the max score in enumeration order
     scores = [row["val_f1@2"] for row in table]
@@ -391,7 +431,7 @@ def test_grid_coarse_enumeration_and_tie_rule(tmp_path):
     assert all("test" not in key for row in table for key in row)
 
 
-def test_grid_results_files(tmp_path):
+def test_grid_results_files(tmp_path, monkeypatch):
     spec = ExperimentSpec(
         output_dir=str(tmp_path / "out"),
         dataset="split",
@@ -400,9 +440,8 @@ def test_grid_results_files(tmp_path):
         config=tiny_config(max_epochs=1),
         repeat_count=1,
     )
-    grid = GridSpec(coarse_eta=(0.05,), coarse_lambda=(0.1,),
-                    rho_range=(1, 2), L_range=(0, 2))
-    best, table = grid_search(spec, grid, stages=("coarse", "rho", "L"))
+    small_grid(monkeypatch, eta=(0.05,), lambda_theta=(0.1,), rho=(1, 2), L=(0, 2))
+    best, table = grid_search(spec, stages=("coarse", "rho", "L"))
     assert os.path.exists(tmp_path / "out" / "grid_results.csv")
     assert os.path.exists(tmp_path / "out" / "grid_best.json")
     stages = [row["stage"] for row in table]
@@ -415,8 +454,8 @@ def test_grid_results_csv_text(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "train", lambda dataset, cfg: fixed_history(
         dataset, [0.0], f1_at_2=cfg.eta + cfg.lambda_theta / 4 - cfg.rho / 8))
     spec = ExperimentSpec(str(tmp_path / "out"), dataset="split", method="BPO", config=tiny_config(optimizer="BPO"))
-    grid_search(spec, GridSpec(coarse_eta=(1 / 3, 0.25), coarse_lambda=(1.0,), rho_range=(1, 2)),
-                stages=("coarse", "rho"), dataset=ds)
+    small_grid(monkeypatch, eta=(1 / 3, 0.25), lambda_theta=(1.0,), rho=(1, 2))
+    grid_search(spec, stages=("coarse", "rho"), dataset=ds)
     # the rho rows lack the coarse columns, which come first: an empty field for each
     assert (tmp_path / "out" / "grid_results.csv").read_text() == (
         "stage,eta,lambda_theta,lambda_phi,val_f1@2,rho\n"
@@ -429,6 +468,7 @@ def test_grid_results_csv_text(tmp_path, monkeypatch):
 
 def test_grid_results_identical_with_two_workers(tmp_path, monkeypatch):
     split_dir = write_tiny_split(tmp_path)
+    small_grid(monkeypatch, eta=(0.05, 50.0), lambda_theta=(0.01, 0.1))
 
     def once(workers):
         monkeypatch.setenv("NOISYREC_WORKERS", str(workers))
@@ -441,7 +481,7 @@ def test_grid_results_identical_with_two_workers(tmp_path, monkeypatch):
             repeat_count=1,
         )
         # eta 50 diverges: its cells stop early and the grid goes on
-        grid_search(spec, GridSpec(coarse_eta=(0.05, 50.0), coarse_lambda=(0.01, 0.1)), stages=("coarse",))
+        grid_search(spec, stages=("coarse",))
         return (tmp_path / f"w{workers}" / "grid_results.csv").read_bytes()
 
     with pytest.warns(RuntimeWarning, match="diverged"):
@@ -449,7 +489,7 @@ def test_grid_results_identical_with_two_workers(tmp_path, monkeypatch):
     assert once(2) == serial
 
 
-def test_grid_cell_diverging_in_first_epoch_scores_zero(tmp_path):
+def test_grid_cell_diverging_in_first_epoch_scores_zero(tmp_path, monkeypatch):
     spec = ExperimentSpec(
         output_dir=str(tmp_path / "out"),
         dataset="split",
@@ -459,13 +499,14 @@ def test_grid_cell_diverging_in_first_epoch_scores_zero(tmp_path):
         repeat_count=1,
     )
     # the first cell (eta 1e3) leaves no evaluated epoch; the second wins on its own score
+    small_grid(monkeypatch, eta=(1e3, 0.1), lambda_theta=(0.01,))
     with pytest.warns(RuntimeWarning, match="BPO diverged at epoch 0"):
-        best, table = grid_search(spec, GridSpec(coarse_eta=(1e3, 0.1), coarse_lambda=(0.01,)), stages=("coarse",))
+        best, table = grid_search(spec, stages=("coarse",))
     assert table[0]["val_f1@2"] == 0.0 and table[1]["val_f1@2"] > 0.0
     assert best.eta == 0.1
 
 
-def test_grid_fine_and_lambda_split_stages(tmp_path):
+def test_grid_fine_and_lambda_split_stages(tmp_path, monkeypatch):
     spec = ExperimentSpec(
         output_dir=str(tmp_path / "out"),
         dataset="split",
@@ -474,8 +515,8 @@ def test_grid_fine_and_lambda_split_stages(tmp_path):
         config=tiny_config(max_epochs=1),
         repeat_count=1,
     )
-    grid = GridSpec(coarse_eta=(0.05, 0.2), coarse_lambda=(0.01, 0.1))
-    best, table = grid_search(spec, grid, stages=("coarse", "fine", "lambda_split"))
+    small_grid(monkeypatch, eta=(0.05, 0.2), lambda_theta=(0.01, 0.1))
+    best, table = grid_search(spec, stages=("coarse", "fine", "lambda_split"))
 
     def rows(stage):
         return [{k: v for k, v in row.items() if k not in ("stage", "val_f1@2")}
@@ -512,8 +553,9 @@ def test_grid_rejects_bad_worker_count(tmp_path, monkeypatch, value):
     monkeypatch.setenv("NOISYREC_WORKERS", value)
     spec = ExperimentSpec(output_dir=str(tmp_path / "out"), dataset="split",
                           split_dir=write_tiny_split(tmp_path), method="BPO", config=tiny_config())
+    small_grid(monkeypatch, eta=(0.05,), lambda_theta=(0.01,))
     with pytest.raises(ValueError, match=re.escape(f"NOISYREC_WORKERS must be a positive int, got {value!r}")):
-        grid_search(spec, GridSpec(coarse_eta=(0.05,), coarse_lambda=(0.01,)), stages=("coarse",))
+        grid_search(spec, stages=("coarse",))
     assert not (tmp_path / "out").exists()  # rejected before any cell trains or writes
 
 
@@ -845,31 +887,59 @@ def test_cli_grid_rejects_unknown_stage(tmp_path, capsys):
     assert not (out_dir / "grid_results.csv").exists()
 
 
-def test_stage_table_runs_the_one_field_sweeps(tmp_path):
+def test_stage_table_runs_the_one_field_sweeps(tmp_path, monkeypatch):
     spec = ExperimentSpec(output_dir=str(tmp_path / "out"), dataset="split",
                           split_dir=write_tiny_split(tmp_path), method="BPO",
                           config=tiny_config(optimizer="BPO", max_epochs=1), repeat_count=1)
-    grid = GridSpec(rho_range=(1, 2), batch_range=(32,), K_range=(2, 3), L_range=(0, 1))
-    _, table = grid_search(spec, grid, stages=("L", "K", "batch", "rho", "lambda_split"))
+    small_grid(monkeypatch, rho=(1, 2), batch_size=(32,), K=(2, 3), L=(0, 1))
+    _, table = grid_search(spec, stages=("L", "K", "batch", "rho", "lambda_split"))
     # in table order; L and lambda_split are for noise-aware optimizers only
     assert [(row["stage"], {k: v for k, v in row.items() if k not in ("stage", "val_f1@2")}) for row in table] == [
         ("rho", {"rho": 1}), ("rho", {"rho": 2}), ("batch", {"batch_size": 32}), ("K", {"K": 2}), ("K", {"K": 3}),
     ]
 
 
-def test_grid_spec_checks_its_values_when_made():
-    for name, value, message in [("K_range", 0, "K must be >= 1, got 0"),
-                                 ("rho_range", 2.5, "rho must be an int, got 2.5"),
-                                 ("coarse_eta", -1.0, "eta must be positive, got -1.0"),
-                                 ("L_range", -1, "L must be >= 0, got -1"),
-                                 ("coarse_lambda", float("nan"), "lambda_theta must be finite, got nan"),
-                                 ("batch_range", 0, "batch_size must be >= 1, got 0")]:
-        with pytest.raises(ValueError, match=rf"^{name}: {re.escape(message)}$"):
-            GridSpec(**{name: (1, value) if name.endswith("_range") else (0.1, value)})
-    with pytest.raises(ValueError, match=r"^K_range must be nonempty$"):
-        GridSpec(K_range=())
+@pytest.mark.parametrize("optimizer, cells", [("NBPO_SS", 86), ("BPO", 51)])
+def test_paper_grid_cell_count(tmp_path, monkeypatch, optimizer, cells):
+    ds = corpus.load_split(write_tiny_split(tmp_path))
+    trained = []
+
+    def stub_train(dataset, cfg):
+        trained.append(cfg)
+        return fixed_history(dataset, [0.0])
+
+    monkeypatch.setattr(experiment, "train", stub_train)
+    spec = ExperimentSpec(str(tmp_path / "out"), dataset="split", method=optimizer, config=tiny_config(seed=7))
+    _, table = grid_search(spec, dataset=ds)
+    sizes = {"coarse": 9, "fine": 25, "lambda_split": 25, "rho": 7, "batch": 5, "K": 5, "L": 10}
+    stages = [stage.name for stage in experiment.STAGES if optimizer == "NBPO_SS" or not stage.noise_aware_only]
+    assert [row["stage"] for row in table] == [name for name in stages for _ in range(sizes[name])]
+    assert len(trained) == len(table) == cells
+    assert [cfg.seed for cfg in trained] == list(range(7, 7 + cells))  # each cell's seed offset is its row
+    grid = experiment.GRID
+    assert [(row["eta"], row["lambda_theta"]) for row in table[:9]] == [
+        (eta, lam) for eta in grid["eta"] for lam in grid["lambda_theta"]]
+    for stage in experiment.STAGES:
+        if stage.sweep and stage.name in stages:
+            assert tuple(row[stage.sweep] for row in table if row["stage"] == stage.name) == grid[stage.sweep]
 
 
-def test_cli_error_exit_code(tmp_path):
-    assert cli.main(["train", "--split-dir", str(tmp_path / "missing"),
-                     "--out", str(tmp_path / "out")]) == 2
+def test_grid_values_build_train_configs():
+    assert set(experiment.GRID) == {"eta", "lambda_theta"} | {stage.sweep for stage in experiment.STAGES if stage.sweep}
+    for name, values in experiment.GRID.items():
+        assert values, name
+        for value in values:
+            TrainConfig(**{name: value})
+
+
+def test_cli_error_exit_code(tmp_path, capsys):
+    a_file = tmp_path / "file.txt"
+    a_file.write_text("")
+    out = str(tmp_path / "out")
+    # a missing path, a file where a directory belongs and a directory where a file belongs
+    for argv in (["train", "--split-dir", str(tmp_path / "missing"), "--out", out],
+                 ["eval", "--split-dir", str(a_file), "--method", "ITEMPOP"],
+                 ["plots", "--results", str(tmp_path), "--out", out],
+                 ["train", "--split-dir", str(tmp_path), "--config", str(tmp_path), "--out", out]):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
