@@ -17,9 +17,9 @@ def fit_itempop(train: InteractionTable) -> np.ndarray:
 
 
 def itempop_scorer(counts: np.ndarray) -> Callable:
-    def score_user(u: int) -> np.ndarray:
-        return counts
-    return score_user
+    def score_block(users) -> np.ndarray:
+        return np.broadcast_to(counts, (len(users), len(counts)))  # one read-only row, no copies
+    return score_block
 
 
 @dataclass
@@ -75,15 +75,18 @@ def fit_itemknn(train: InteractionTable, S: int = 50) -> ItemKnnModel:
 def itemknn_scorer(model: ItemKnnModel, train: InteractionTable) -> Callable:
     N, lengths = len(model.indptr) - 1, np.diff(model.indptr)
 
-    def score_user(u: int) -> np.ndarray:
-        voted = train.codes[train.indptr[u] : train.indptr[u + 1]] - u * train.N
-        starts, lens = model.indptr[voted], lengths[voted]
-        take = np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
-        # each item's contributions arrive in ascending j and are summed in that order from 0.0,
-        # as the dense sim[:, voted].sum(axis=1) adds them; bincount is int64 when take is empty
-        return np.bincount(model.items[take], model.weights[take], minlength=N).astype(float, copy=False)
+    def score_block(users) -> np.ndarray:
+        scores = np.empty((len(users), N))
+        for row, u in enumerate(np.asarray(users).tolist()):  # one bincount per user beats one per block
+            voted = train.codes[train.indptr[u] : train.indptr[u + 1]] - u * train.N
+            starts, lens = model.indptr[voted], lengths[voted]
+            take = np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+            # each item's contributions arrive in ascending j and are summed in that order from 0.0,
+            # as the dense sim[:, voted].sum(axis=1) adds them; bincount is int64 when take is empty, cast here
+            scores[row] = np.bincount(model.items[take], model.weights[take], minlength=N)
+        return scores
 
-    return score_user
+    return score_block
 
 
 def baseline_scorer(method: str, train: InteractionTable, neighbors: int = 50) -> Callable:

@@ -47,12 +47,8 @@ def ndcg_at_k(recommended: Sequence[int], relevant, k: int) -> float:
 
 
 def mf_scorer(theta: PreferenceParams) -> Callable:
-    """Scorer mapping a user index to that user's score vector over all items."""
-
-    def score_user(u: int) -> np.ndarray:
-        return theta.U[u] @ theta.V.T
-
-    return score_user
+    """Scorer mapping an array of users to their (len(users), N) block of scores over all items."""
+    return theta.scores
 
 
 EVAL_KS = (2, 5, 10, 20)  # the cutoffs every report, epoch CSV and summary carries
@@ -67,9 +63,11 @@ def evaluate(
 ) -> MetricReport:
     """Rank items per user, compute F1@k and NDCG@k, average over evaluated users.
 
+    `scorer(users)` returns the (len(users), N) float score block of an int array of users.
     Users with no held-out positives are skipped entirely (not counted as zero).
     Train positives are never ranking candidates.
-    Users are ranked in row blocks, then scored in one pass, each as f1_at_k/ndcg_at_k, summed in user order.
+    Users are scored and ranked in row blocks (one scorer call per block that holds a user), then
+    their metrics are taken in one pass, each as f1_at_k/ndcg_at_k, summed in user order.
     """
     ks = tuple(ks)
     if not ks:
@@ -81,6 +79,8 @@ def evaluate(
             raise ValueError(f"cutoff k must be >= 1, got {k}")
         if ks.count(k) > 1:  # the report is keyed by k: a repeat would fold into one key
             raise ValueError(f"cutoff k = {k} is repeated in {ks}")
+    if heldout.M != train.M or heldout.N != train.N:
+        raise ValueError(f"held-out table is {heldout.M}x{heldout.N} but train table is {train.M}x{train.N}")
     kmax, cols = max(ks), np.array(ks) - 1
     disc = np.array([1.0 / np.log2(p + 1) for p in range(1, kmax + 1)])
     idcg = np.cumsum(disc)  # idcg[n - 1]: ideal DCG with n relevant items
@@ -89,7 +89,11 @@ def evaluate(
     for lo in range(0, heldout.M, rows):
         hi = min(lo + rows, heldout.M)
         users = np.flatnonzero(np.diff(heldout.indptr[lo : hi + 1]))
-        scores = np.array([scorer(lo + u) for u in users.tolist()], dtype=float).reshape(len(users), heldout.N)
+        if not len(users):  # a scorer is never asked for an empty block
+            continue
+        scores = np.asarray(scorer(lo + users), dtype=float)
+        if scores.shape != (len(users), heldout.N):
+            raise ValueError(f"scorer returned a block of shape {scores.shape}, expected {(len(users), heldout.N)}")
         top = topk_from_scores(scores, kmax, train.dense_rows(lo, hi)[users])
         hits.append(heldout.contains((lo + users)[:, None], top))  # the -1 that pads a short row is no item
     hit, n_rel = np.concatenate(hits), heldout.user_degrees()

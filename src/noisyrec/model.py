@@ -24,6 +24,13 @@ class PreferenceParams:
     def sq_norm(self) -> float:
         return float(np.sum(self.U**2) + np.sum(self.V**2))
 
+    def scores(self, users) -> np.ndarray:
+        """The (len(users), N) block of scores U[u] . V[i] of the given users over every item."""
+        # each stacked (1 x K) row goes through matmul's vector @ matrix gemv, the call U[u] @ V.T
+        # makes, so every score is bit-identical to it; the plain gemm U[users] @ V.T sums in
+        # another order and moves the last bits
+        return np.matmul(self.U[users][:, None, :], self.V.T)[:, 0]
+
 
 @dataclass
 class NoiseParams:
@@ -113,8 +120,10 @@ def rank_topk(params: PreferenceParams, u: int, k: int, excluded=frozenset()) ->
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not 0 <= u < len(params.U):  # a negative u would index from the end
+        raise ValueError(f"user {u} is out of range for {len(params.U)} users")
     mask = np.isin(np.arange(params.V.shape[0]), list(excluded))
-    top = topk_from_scores((params.U[u] @ params.V.T)[None], k, mask[None])[0]
+    top = topk_from_scores(params.scores([u]), k, mask[None])[0]
     return top[top >= 0].tolist()
 
 

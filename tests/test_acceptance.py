@@ -233,9 +233,10 @@ def test_criterion_06_metric_units():
     train = InteractionTable(M, N, list(zip(*np.nonzero(train_mask))))
     heldout = InteractionTable(M, N, list(zip(*np.nonzero(held_mask))))
 
-    def oracle(u):
-        scores = np.zeros(N)
-        scores[heldout.per_user[u]] = 1.0
+    def oracle(users):
+        scores = np.zeros((len(users), N))
+        for row, u in enumerate(users.tolist()):
+            scores[row, heldout.per_user[u]] = 1.0
         return scores
 
     report = evaluate(oracle, heldout, train, ks=(2, 5, 10, 20))

@@ -38,18 +38,18 @@ def test_itempop_counts_and_ranking():
     assert counts.dtype == float and counts.tolist() == [3, 1, 3]
     scorer = itempop_scorer(counts)
     # same ranking for every user
-    rankings = [ranking(scorer(u), 3) for u in range(3)]
+    rankings = [ranking(row, 3) for row in scorer(np.arange(3))]
     assert rankings[0] == rankings[1] == rankings[2] == [0, 2, 1]
 
 
 def test_itempop_sort_example():
-    assert ranking(itempop_scorer(np.array([5.0, 2.0, 9.0]))(0), 2) == [2, 0]
+    assert ranking(itempop_scorer(np.array([5.0, 2.0, 9.0]))([0])[0], 2) == [2, 0]
 
 
 def test_itempop_empty_train_tie_rule():
     table = InteractionTable(2, 4, [])
     model = fit_itempop(table)
-    assert ranking(itempop_scorer(model)(0), 4) == [0, 1, 2, 3]
+    assert ranking(itempop_scorer(model)([0])[0], 4) == [0, 1, 2, 3]
 
 
 def dense_sim(model):
@@ -166,14 +166,13 @@ def test_itemknn_scorer_equals_dense_sum_property(monkeypatch):
         model = fit_itemknn(table, S)
         sim = itemknn_sim_reference(table, S)
         assert np.array_equal(dense_sim(model), sim)
-        scorer = itemknn_scorer(model, table)
+        block = itemknn_scorer(model, table)(np.arange(M))
+        assert block.dtype == np.float64 and block.shape == (M, N)
         for u in range(M):
-            scores = scorer(u)
-            assert scores.dtype == np.float64 and scores.shape == (N,)
-            assert np.array_equal(scores, dense_scores(sim, table, u)), (M, N, S, u)
+            assert np.array_equal(block[u], dense_scores(sim, table, u)), (M, N, S, u)
         if N:
             u, i = int(rng.integers(M)), int(rng.integers(N))
-            assert knn_score(model, table, u, i) == scorer(u)[i]
+            assert knn_score(model, table, u, i) == block[u, i]
 
 
 def test_knn_score_examples():
@@ -201,9 +200,8 @@ def test_itemknn_scorer_matches_knn_score():
     mask = rng.random((8, 9)) < 0.4
     table = InteractionTable(8, 9, list(zip(*np.nonzero(mask))))
     model = fit_itemknn(table, S=4)
-    scorer = itemknn_scorer(model, table)
-    for u in range(8):
-        vec = scorer(u)
+    block = itemknn_scorer(model, table)(np.arange(8))
+    for u, vec in enumerate(block):
         for i in range(9):
             assert vec[i] == pytest.approx(knn_score(model, table, u, i), abs=1e-12)
 
@@ -219,4 +217,4 @@ def test_baseline_scorer_rejects_unknown_method():
     for name in ("FOO", "itempop", "BPR"):
         with pytest.raises(ValueError, match=rf"^unknown baseline '{name}'; valid: ITEMPOP, ITEMKNN$"):
             baselines.baseline_scorer(name, table)
-    assert baselines.baseline_scorer("ITEMPOP", table)(0).tolist() == [1.0, 1.0, 0.0]
+    assert baselines.baseline_scorer("ITEMPOP", table)([0]).tolist() == [[1.0, 1.0, 0.0]]

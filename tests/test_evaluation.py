@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from noisyrec import evaluation
+from noisyrec.baselines import fit_itempop, itempop_scorer
 from noisyrec.corpus import InteractionTable
 from noisyrec.evaluation import MetricReport, evaluate, f1_at_k, ndcg_at_k
 from noisyrec.model import topk_from_scores
@@ -17,7 +18,7 @@ def evaluate_reference(scorer, heldout, train, ks=(2, 5, 10, 20)):
         relevant = heldout.per_user[u]
         if not relevant:
             continue
-        scores = np.asarray(scorer(u), dtype=float)
+        scores = np.asarray(scorer(np.array([u]))[0], dtype=float)
         candidates = np.setdiff1d(np.arange(scores.shape[0]), np.array(train.per_user[u], dtype=np.int64))
         topk = candidates[np.lexsort((candidates, -scores[candidates]))[:kmax]].tolist()
         for k in ks:
@@ -66,11 +67,10 @@ def make_eval_data():
 def test_evaluate_averages_over_users():
     train, heldout = make_eval_data()
 
-    def scorer(u):
+    def scorer(users):
         # user 0: one hit at rank 1 of 2 relevant; user 1: no hits
-        if u == 0:
-            return np.array([0, 0, 0, 9.0, 0, 0])
-        return np.array([9.0, 0, 0, 0, 0, 0])
+        rows = {0: [0, 0, 0, 9.0, 0, 0], 1: [9.0, 0, 0, 0, 0, 0]}
+        return np.array([rows[u] for u in users.tolist()])
 
     report = evaluate(scorer, heldout, train, ks=(2,))
     # user 2 has no held-out items and is skipped
@@ -84,10 +84,9 @@ def test_evaluate_simple_mean():
     train = InteractionTable(2, 8, [])
     heldout = InteractionTable(2, 8, [(0, 0), (0, 1), (0, 2), (1, 7)])
 
-    def scorer(u):
-        if u == 0:
-            return np.array([9.0, 0, 0, 0, 0, 0, 0, 8.0])
-        return np.array([9.0, 8, 0, 0, 0, 0, 0, 0])
+    def scorer(users):
+        rows = {0: [9.0, 0, 0, 0, 0, 0, 0, 8.0], 1: [9.0, 8, 0, 0, 0, 0, 0, 0]}
+        return np.array([rows[u] for u in users.tolist()])
 
     report = evaluate(scorer, heldout, train, ks=(2,))
     assert report.f1[2] == pytest.approx(0.2)
@@ -101,9 +100,10 @@ def test_evaluate_ideal_scorer_ndcg_one():
     train = InteractionTable(M, N, list(zip(*np.nonzero(train_mask))))
     heldout = InteractionTable(M, N, list(zip(*np.nonzero(held_mask))))
 
-    def oracle(u):
-        scores = np.zeros(N)
-        scores[heldout.per_user[u]] = 1.0
+    def oracle(users):
+        scores = np.zeros((len(users), N))
+        for row, u in enumerate(users.tolist()):
+            scores[row, heldout.per_user[u]] = 1.0
         return scores
 
     report = evaluate(oracle, heldout, train, ks=(2, 5, 10, 20))
@@ -115,8 +115,8 @@ def test_evaluate_excludes_train_positives():
     train = InteractionTable(1, 4, [(0, 0)])
     heldout = InteractionTable(1, 4, [(0, 1)])
 
-    def scorer(u):
-        return np.array([9.0, 5.0, 1.0, 0.0])  # train item 0 scores highest
+    def scorer(users):
+        return np.tile([9.0, 5.0, 1.0, 0.0], (len(users), 1))  # train item 0 scores highest
 
     assert evaluate(scorer, heldout, train, ks=(1,)).f1[1] == pytest.approx(1.0)
 
@@ -154,7 +154,7 @@ def test_metrics_bounded():
     held_mask = (rng.random((M, N)) < 0.3) & ~train_mask
     train = InteractionTable(M, N, list(zip(*np.nonzero(train_mask))))
     heldout = InteractionTable(M, N, list(zip(*np.nonzero(held_mask))))
-    report = evaluate(lambda u: rng.normal(size=N), heldout, train)
+    report = evaluate(lambda users: rng.normal(size=(len(users), N)), heldout, train)
     for k in (2, 5, 10, 20):
         assert 0.0 <= report.f1[k] <= 1.0
         assert 0.0 <= report.ndcg[k] <= 1.0
@@ -199,6 +199,63 @@ def test_evaluate_rejects_malformed_cutoffs(ks, message):
     table = InteractionTable(2, 3, [(0, 0), (1, 2)])
     with pytest.raises(ValueError, match=message):
         evaluate(lambda u: np.zeros(3), table, InteractionTable(2, 3, []), ks=ks)
+
+
+@pytest.mark.parametrize("held_shape, train_shape", [((2, 5), (2, 4)), ((3, 4), (2, 4)), ((2, 4), (3, 4))],
+                         ids=["N", "larger-heldout-M", "smaller-heldout-M"])
+def test_evaluate_rejects_tables_of_different_shapes(held_shape, train_shape):
+    # these failed in a numpy reshape, failed in dense_rows, or were evaluated silently
+    heldout = InteractionTable(*held_shape, [(0, 0), (1, 1)])
+    train = InteractionTable(*train_shape, [(1, 2)])
+    calls = []
+    message = rf"^held-out table is {held_shape[0]}x{held_shape[1]} but train table is {train_shape[0]}x{train_shape[1]}$"
+    with pytest.raises(ValueError, match=message):
+        evaluate(lambda users: calls.append(users) or np.zeros((len(users), held_shape[1])), heldout, train)
+    assert calls == []  # checked before any scoring
+
+
+def test_evaluate_rejects_wrong_block_shape():
+    # an ItemPop scorer with 3 counts on a 4-item table failed in a numpy reshape
+    table = InteractionTable(2, 4, [(0, 0), (1, 1)])
+    with pytest.raises(ValueError, match=r"^scorer returned a block of shape \(2, 3\), expected \(2, 4\)$"):
+        evaluate(itempop_scorer(np.ones(3)), table, InteractionTable(2, 4, []))
+    with pytest.raises(ValueError, match=r"^scorer returned a block of shape \(4,\), expected \(2, 4\)$"):
+        evaluate(lambda users: np.zeros(4), table, InteractionTable(2, 4, []))
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 4, 10])
+def test_evaluate_calls_scorer_once_per_row_block(monkeypatch, block_rows):
+    M, N = 10, 6
+    monkeypatch.setattr(evaluation, "_BLOCK_CELLS", block_rows * N)
+    rng = np.random.default_rng(block_rows)
+    train, _, scores = random_case(rng, M, N)
+    held = np.ones(M, dtype=bool)
+    held[[3, 4, 5, 8]] = False  # users with nothing held out; at 3 rows per block, the second block
+    heldout = InteractionTable(M, N, [(u, u % N) for u in np.flatnonzero(held)])
+    calls = []
+
+    def scorer(users):
+        calls.append(users.tolist())
+        return scores[users]
+
+    report = evaluate(scorer, heldout, train)
+    starts = range(0, M, block_rows)
+    want = [[u for u in range(lo, min(lo + block_rows, M)) if held[u]] for lo in starts]
+    assert calls == [users for users in want if users]  # a block with no held-out user is not scored
+    assert report == evaluate_reference(lambda users: scores[users], heldout, train)
+
+
+def test_itempop_evaluates_twice_without_writing_counts():
+    rng = np.random.default_rng(3)
+    train, heldout, _ = random_case(rng, 23, 17)
+    counts = fit_itempop(train)
+    before = counts.copy()
+    scorer = itempop_scorer(counts)
+    assert not scorer(np.arange(3)).flags.writeable  # one read-only row broadcast over the block
+    first, second = evaluate(scorer, heldout, train), evaluate(scorer, heldout, train)
+    assert first == second and first.n_users_evaluated > 0
+    assert np.array_equal(counts, before)
+    assert first == evaluate_reference(lambda users: np.tile(before, (len(users), 1)), heldout, train)
 
 
 def test_topk_kernel_never_returns_excluded_items():

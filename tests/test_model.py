@@ -81,6 +81,32 @@ def test_rank_topk_ordering_property():
         assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("u", [-1, 3, 10])
+def test_rank_topk_rejects_user_out_of_range(u):
+    # u = -1 returned user 2's list, [3, 2]; u = 3 failed with numpy's IndexError
+    theta = PreferenceParams(U=np.arange(6.0).reshape(3, 2), V=np.arange(8.0).reshape(4, 2))
+    with pytest.raises(ValueError, match=rf"^user {u} is out of range for 3 users$"):
+        rank_topk(theta, u, 2)
+    assert rank_topk(theta, 2, 2) == [3, 2]
+
+
+def test_block_scores_equal_per_user_gemv_property():
+    # every row of the block must be U[u] @ V.T bit for bit, not close: the plain gemm
+    # U[users] @ V.T sums in another order and differs in the last bits
+    rng = np.random.default_rng(13)
+    for trial in range(60):
+        M, N, K = int(rng.integers(1, 200)), int(rng.integers(1, 4000)), int(rng.integers(1, 201))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        theta = PreferenceParams(U=rng.normal(0, scale, (M, K)), V=rng.normal(0, scale, (N, K)))
+        users = rng.integers(0, M, size=int(rng.integers(0, 2 * M)))  # unsorted, with repeats, maybe empty
+        if trial == 0:
+            users = users[:0]
+        block = theta.scores(users)
+        assert block.shape == (len(users), N) and block.dtype == np.float64
+        for row, u in zip(block, users.tolist()):
+            assert np.array_equal(row, theta.U[u] @ theta.V.T), (trial, M, N, K, scale, u)
+
+
 def test_noise_params_never_affect_ranking():
     rng = np.random.default_rng(10)
     theta = PreferenceParams(U=rng.normal(size=(4, 3)), V=rng.normal(size=(15, 3)))
