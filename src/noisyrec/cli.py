@@ -55,9 +55,9 @@ TRAIN_OPTIONS = (
 
 
 def load_config_file(path) -> dict:
-    """Flat key = value file of TRAIN_OPTIONS keys, each value parsed; '#' starts a comment."""
+    """Flat key = value file of TRAIN_OPTIONS keys, each set once and parsed; '#' starts a comment."""
     options = {opt.key: opt for opt in TRAIN_OPTIONS}
-    values = {}
+    values, first = {}, {}  # first: the line each key is set on
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -68,6 +68,9 @@ def load_config_file(path) -> dict:
                 raise corpus.ParseError(path, lineno, f"expected key = value, got {line!r}")
             if key not in options:
                 raise corpus.ParseError(path, lineno, f"unknown config key {key!r}")
+            if key in first:
+                raise corpus.ParseError(path, lineno, f"config key {key!r} repeats line {first[key]}")
+            first[key] = lineno
             try:
                 values[key] = options[key].read(raw)
             except argparse.ArgumentTypeError as exc:
@@ -129,7 +132,7 @@ def cmd_train(args):
 
 def cmd_grid(args):
     spec = build_spec(args)
-    stages = args.stage.split(",") if args.stage else None
+    stages = args.stage.split(",") if args.stage is not None else None
     best, table = experiment.grid_search(spec, stages=stages)
     print(json.dumps(dataclasses.asdict(best), indent=2, sort_keys=True))
     print(f"{len(table)} cells evaluated; results in {spec.output_dir}/grid_results.csv")

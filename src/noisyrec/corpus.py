@@ -113,7 +113,10 @@ class InteractionTable:
         self.N = int(N)
         if self.M < 0 or self.N < 0:
             raise ValueError(f"table shape {self.M}x{self.N} has a negative side")
-        arr = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
+        arr = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs))
+        if arr.size and arr.dtype.kind not in "iu":  # a cast would truncate floats and read bools as 0/1
+            raise ValueError(f"pairs must be ints, got dtype {arr.dtype}")
+        arr = arr.astype(np.int64, copy=False)
         if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
             raise ValueError(f"pairs must be (user, item) rows, got shape {arr.shape}")
         u, i = arr.reshape(-1, 2).T

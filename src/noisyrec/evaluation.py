@@ -86,9 +86,10 @@ def evaluate(
     idcg = np.cumsum(disc)  # idcg[n - 1]: ideal DCG with n relevant items
     rows = max(1, _BLOCK_CELLS // max(heldout.N, 1))
     hits = [np.zeros((0, kmax), dtype=bool)]  # a table with no users runs no block
+    n_rel = heldout.user_degrees()
     for lo in range(0, heldout.M, rows):
         hi = min(lo + rows, heldout.M)
-        users = np.flatnonzero(np.diff(heldout.indptr[lo : hi + 1]))
+        users = np.flatnonzero(n_rel[lo:hi])
         if not len(users):  # a scorer is never asked for an empty block
             continue
         scores = np.asarray(scorer(lo + users), dtype=float)
@@ -96,8 +97,7 @@ def evaluate(
             raise ValueError(f"scorer returned a block of shape {scores.shape}, expected {(len(users), heldout.N)}")
         top = topk_from_scores(scores, kmax, train.dense_rows(lo, hi)[users])
         hits.append(heldout.contains((lo + users)[:, None], top))  # the -1 that pads a short row is no item
-    hit, n_rel = np.concatenate(hits), heldout.user_degrees()
-    n_rel = n_rel[n_rel > 0, None]
+    hit, n_rel = np.concatenate(hits), n_rel[n_rel > 0, None]
     n_hits = np.cumsum(hit, axis=1)[:, cols]
     precision, recall = n_hits / (cols + 1), n_hits / n_rel
     f1 = np.divide(2 * precision * recall, precision + recall, out=np.zeros(n_hits.shape), where=n_hits > 0)

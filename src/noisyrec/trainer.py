@@ -342,8 +342,6 @@ def train(dataset: SplitDataset, config: TrainConfig) -> TrainHistory:
 
     codes, N = train_table.codes, train_table.N  # positive (u, i) is code u * N + i
     history = TrainHistory()
-    best_f1 = -1.0
-    stale = 0
 
     for epoch in range(config.max_epochs):
         shuffled = codes[rng.permutation(len(codes))]
@@ -363,14 +361,10 @@ def train(dataset: SplitDataset, config: TrainConfig) -> TrainHistory:
             break
         report = evaluation.evaluate(evaluation.mf_scorer(theta), dataset.validation, train_table)
         history.epochs.append(EpochRecord(epoch=epoch, objective=objective, report=report))
-        if report.f1[2] > best_f1:
-            best_f1 = report.f1[2]
+        if history.best_epoch < 0 or report.f1[2] > history.best_f1_at_2():
             history.best_epoch = epoch
             history.best_theta = theta.copy()
             history.best_phi = phi.copy()
-            stale = 0
-        else:
-            stale += 1
-            if config.patience is not None and stale > config.patience:
-                break
+        elif config.patience is not None and epoch - history.best_epoch > config.patience:
+            break
     return history

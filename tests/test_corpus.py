@@ -492,6 +492,18 @@ def test_table_names_the_first_out_of_range_pair():
             InteractionTable(2, 3, np.array(pairs))
 
 
+def test_table_rejects_pairs_that_are_not_ints():
+    # a cast to int64 would store (0.5, 1.7) as the pair (0, 1), and a bool pair as 0/1
+    for pairs in (np.array([[0.5, 1.7]]), [(0.0, 1.0)], np.array([[True, False]]), np.array([[1, 2]], dtype=object)):
+        dtype = np.asarray(pairs).dtype
+        with pytest.raises(ValueError, match=rf"^pairs must be ints, got dtype {dtype}$"):
+            InteractionTable(3, 3, pairs)
+    for dtype in (np.int8, np.uint8, np.int32, np.uint64):
+        assert InteractionTable(3, 3, np.array([[2, 1]], dtype=dtype)).pairs.tolist() == [[2, 1]]
+    for empty in ([], np.zeros((0, 2)), np.array([], dtype=bool)):  # no pair: any dtype
+        assert len(InteractionTable(3, 3, empty)) == 0
+
+
 def test_table_rejects_negative_shape():
     for M, N in [(2, -3), (-1, 5), (-1, -1)]:
         with pytest.raises(ValueError, match=rf"^table shape {M}x{N} has a negative side$"):

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import shlex
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -486,7 +487,12 @@ def test_grid_results_identical_with_two_workers(tmp_path, monkeypatch):
 
     with pytest.warns(RuntimeWarning, match="diverged"):
         serial = once(1)
-    assert once(2) == serial
+    # a worker's warning never reaches this process, so pytest.warns cannot see it; the forked
+    # workers inherit this filter instead, and an "error" filter from the command line stays out
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        parallel = once(2)
+    assert parallel == serial
 
 
 def test_grid_cell_diverging_in_first_epoch_scores_zero(tmp_path, monkeypatch):
@@ -712,6 +718,16 @@ def test_cli_config_file_and_flag_override(tmp_path):
     assert config.rho == 2 and config.K == 3
 
 
+def test_cli_config_file_rejects_repeated_key(tmp_path):
+    # the second value would silently win: the error names the key and the line of its first use
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("eta = 0.1\n# a comment\nrho = 2\n\neta = 0.2\n")
+    with pytest.raises(corpus.ParseError, match=rf"^{re.escape(str(cfg_path))}:5: config key 'eta' repeats line 1$"):
+        cli.load_config_file(cfg_path)
+    cfg_path.write_text("eta = 0.1\nrho = 2\n")
+    assert cli.load_config_file(cfg_path) == {"eta": 0.1, "rho": 2}
+
+
 def test_cli_train_config_defaults_come_from_train_config():
     # without file or flags: TrainConfig's defaults, and one repeat
     spec = cli.build_spec(cli.build_parser().parse_args(["train", "--split-dir", "x", "--out", "y"]))
@@ -884,6 +900,16 @@ def test_cli_grid_rejects_unknown_stage(tmp_path, capsys):
                      "--optimizer", "BPO", "--epochs", "1", "--stage", "coarse,rhoo"]) == 2
     err = capsys.readouterr().err
     assert "'rhoo'" in err and ",".join(experiment.ALL_STAGES) in err
+    assert not (out_dir / "grid_results.csv").exists()
+
+
+def test_cli_grid_rejects_empty_stage(tmp_path, monkeypatch, capsys):
+    # an empty --stage names no stage: it is rejected as "rho," is, never read as the whole grid
+    monkeypatch.setattr(experiment, "train", lambda dataset, cfg: fixed_history(dataset, [0.0]))
+    out_dir = tmp_path / "grid_out"
+    assert cli.main(["grid", "--split-dir", write_tiny_split(tmp_path), "--out", str(out_dir),
+                     "--optimizer", "BPO", "--epochs", "1", "--stage", ""]) == 2
+    assert "unknown grid stage ''" in capsys.readouterr().err
     assert not (out_dir / "grid_results.csv").exists()
 
 
