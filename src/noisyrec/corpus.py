@@ -54,8 +54,12 @@ def _int_objects(values: np.ndarray, n: int) -> list:
 
 
 def _contains(codes: np.ndarray, M: int, N: int, users, items):
-    """Whether each pair's code u * N + i is among the sorted codes; arrays or scalars. False off [0, M) x [0, N)."""
-    users, items = np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64)
+    """Whether each pair's code u * N + i is among the sorted codes; int or bool arrays or scalars. False off M x N."""
+    users, items = np.asarray(users), np.asarray(items)
+    for name, values in (("users", users), ("items", items)):
+        if values.size and values.dtype.kind not in "biu":
+            raise ValueError(f"{name} must be ints, got dtype {values.dtype}")  # a cast would truncate floats
+    users, items = users.astype(np.int64, copy=False), items.astype(np.int64, copy=False)
     q = users * N + items
     if not len(codes):
         return np.zeros(np.shape(q), dtype=bool)
@@ -116,13 +120,13 @@ class InteractionTable:
         arr = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs))
         if arr.size and arr.dtype.kind not in "iu":  # a cast would truncate floats and read bools as 0/1
             raise ValueError(f"pairs must be ints, got dtype {arr.dtype}")
-        arr = arr.astype(np.int64, copy=False)
         if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
             raise ValueError(f"pairs must be (user, item) rows, got shape {arr.shape}")
         u, i = arr.reshape(-1, 2).T
         if arr.size and (arr.min() < 0 or u.max() >= self.M or i.max() >= self.N):  # then find the first bad pair
             bad = (u < 0) | (u >= self.M) | (i < 0) | (i >= self.N)
             raise ValueError(f"pair ({u[bad][0]}, {i[bad][0]}) out of range for {self.M}x{self.N}")
+        u, i = arr.reshape(-1, 2).astype(np.int64, copy=False).T  # after the check: a uint64 past int64 wraps
         self.codes = sorted_unique(u * self.N + i)
         self.indptr = np.searchsorted(self.codes, np.arange(self.M + 1) * self.N)
 

@@ -214,26 +214,12 @@ def _point_terms(optimizer: Optimizer, r, g, n: int):
 SCORE_CHUNK = 1024  # rows gathered at a time to score: no step holds a (rows x K) block of the batch
 
 
-def _column_sums(B, rows, c, slot, size):
-    """(size x K) sums of c[t] * B[rows[t]] by slot[t], each added 0 + c1 + c2 + ... in the order of t.
-
-    Each column is one 1-D take from a transposed copy of B: one column of the batch is held at a time.
-    """
-    acc = np.empty((size, B.shape[1]))
-    for k, column in enumerate(B.T.copy()):
-        acc[:, k] = np.bincount(slot, weights=column.take(rows) * c, minlength=size)
+def _column_sums(columns, take, c, slot, size):
+    """(size x K) sums of c[t] * columns[:, take[t]] by slot[t], added 0 + c1 + c2 + ... in t order, by column."""
+    acc = np.empty((size, len(columns)))
+    for k, column in enumerate(columns):
+        acc[:, k] = np.bincount(slot, weights=column[take] * c, minlength=size)
     return acc
-
-
-def _apply_sparse(mat, acc, eta, lam, touched):
-    """mat[touched] += eta * (acc - lam * mat[touched]); rows outside `touched` stay bit-identical."""
-    if lam > 0:
-        old = mat[touched]
-        old *= lam
-        acc -= old
-        del old  # before the scatter's own T x K temporary
-    acc *= eta
-    mat[touched] += acc
 
 
 def point_step(theta: PreferenceParams, phi: Optional[NoiseParams], batch: Batch, config: TrainConfig) -> float:
@@ -260,11 +246,18 @@ def point_step(theta: PreferenceParams, phi: Optional[NoiseParams], batch: Batch
     for (A, B, lam), c in zip(sides, coefficients):
         if c is None:  # BPO, BPR and WBPR have no phi term
             continue
-        # both sums from the pre-step rows, before either matrix moves: dA = c * B rows, dB = c * A rows
-        acc_A = _column_sums(B, items, c, slot_u, len(touched_u))
-        acc_B = _column_sums(A, users, c, slot_i, len(touched_i))
-        _apply_sparse(A, acc_A, config.eta, lam, touched_u)
-        _apply_sparse(B, acc_B, config.eta, lam, touched_i)
+        # both sums from the pre-step rows, before either matrix moves: dA = c * B rows, dB = c * A rows, each
+        # read from the other matrix's touched rows, taken as columns and picked by slot (touched_i[slot_i] == items)
+        updates = ((A, touched_u, _column_sums(B.T[:, touched_i], slot_i, c, slot_u, len(touched_u))),
+                   (B, touched_i, _column_sums(A.T[:, touched_u], slot_u, c, slot_i, len(touched_i))))
+        for mat, touched, acc in updates:  # mat[touched] += eta * (acc - lam * mat[touched])
+            if lam > 0:
+                old = mat[touched]
+                old *= lam
+                acc -= old
+                del old  # before the scatter's own T x K temporary
+            acc *= config.eta
+            mat[touched] += acc
     return value
 
 

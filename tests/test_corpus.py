@@ -492,6 +492,16 @@ def test_table_names_the_first_out_of_range_pair():
             InteractionTable(2, 3, np.array(pairs))
 
 
+def test_table_names_a_uint64_pair_past_int64_as_given():
+    # a cast to int64 before the range check reported (2**63, 0) as (-9223372036854775808, 0)
+    for pairs, first in [([[2**63, 0]], "(9223372036854775808, 0)"),
+                         ([[0, 0], [1, 2**64 - 1]], "(1, 18446744073709551615)")]:
+        with pytest.raises(ValueError, match=rf"^pair {re.escape(first)} out of range for 3x3$"):
+            InteractionTable(3, 3, np.array(pairs, dtype=np.uint64))
+    table = InteractionTable(3, 3, np.array([[2, 1], [0, 2]], dtype=np.uint64))
+    assert table.codes.dtype == np.int64 and table.pairs.tolist() == [[0, 2], [2, 1]]
+
+
 def test_table_rejects_pairs_that_are_not_ints():
     # a cast to int64 would store (0.5, 1.7) as the pair (0, 1), and a bool pair as 0/1
     for pairs in (np.array([[0.5, 1.7]]), [(0.0, 1.0)], np.array([[True, False]]), np.array([[1, 2]], dtype=object)):
@@ -594,6 +604,19 @@ def test_contains_is_false_for_users_out_of_range():
         assert (user, 1) not in table.positives
     assert table.contains(np.array([2**62, -2**62, 0]), np.array([1, 1, 1])).tolist() == [False, False, True]
     assert table.contains([0, 0], [1, 2]).tolist() == [True, False]  # lists are read as arrays
+
+
+def test_contains_rejects_pairs_that_are_not_ints():
+    # a cast to int64 would read (0.7, 1.2) as the positive (0, 1)
+    table = InteractionTable(3, 3, [(0, 1)])
+    assert (0.7, 1.2) not in table.positives
+    for users, items, name, dtype in [(0.7, 1.2, "users", "float64"), (0, np.array([1.0]), "items", "float64"),
+                                      (np.array(["0"]), 1, "users", "<U1"), ([0], [None], "items", "object")]:
+        with pytest.raises(ValueError, match=rf"^{name} must be ints, got dtype {re.escape(dtype)}$"):
+            table.contains(users, items)
+    assert table.contains(np.int8(0), np.uint64(1)) and not table.contains(True, True)  # ints and bools pass
+    for empty in ([], np.zeros(0), np.array([], dtype=object)):  # no pair: any dtype
+        assert table.contains(empty, empty).tolist() == []
 
 
 def test_load_split_names_file_and_line(tmp_path):
